@@ -7,7 +7,7 @@ companion negative control disables the controllers and forces overlapping
 crossing reservations, which the monitor must flag every time.
 """
 
-import numpy as np
+from statistics import fmean
 
 from crossings.harness import run
 from crossings.randomgen import negative_scenario, sweep_scenario
@@ -26,13 +26,11 @@ for seed in range(RUNS):
     retry_counts.append(actions.count("wd cc"))
     deadlocked += bool(verdict.deadlocked_cars)
 
-reserves = np.array(reserve_counts)
-retries = np.array(retry_counts)
 print(f"sweep: {RUNS} runs, {safe} safe ({100 * safe / RUNS:.0f}%)")
-print(f"  crossing reservations per run: mean {reserves.mean():.1f}, "
-      f"max {reserves.max()}")
-print(f"  claim withdrawals (retries):   mean {retries.mean():.1f}, "
-      f"max {retries.max()}")
+print(f"  crossing reservations per run: mean {fmean(reserve_counts):.1f}, "
+      f"max {max(reserve_counts)}")
+print(f"  claim withdrawals (retries):   mean {fmean(retry_counts):.1f}, "
+      f"max {max(retry_counts)}")
 print(f"  runs with stalled cars reported: {deadlocked}")
 
 flagged = sum(not run(negative_scenario(seed))[0].safe for seed in range(RUNS))

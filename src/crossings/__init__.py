@@ -7,12 +7,9 @@ from .network import (
     RoadSegment,
     Topology,
     UrbanRoadNetwork,
-    coarsen,
-    coarsen_path,
     components,
     cs,
     lane,
-    pre_segments,
     shortest_directed_path,
     validate_network,
 )
@@ -53,7 +50,7 @@ from .logic import (
     pretty,
     somewhere,
 )
-from .comm import Bus, Channel, CommError, Listener, Message, Seq
+from .comm import Bus, Channel, CommError, Listener, Message
 from .harness import Simulation, TraceEvent, Verdict, run, write_trace
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 

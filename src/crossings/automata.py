@@ -158,14 +158,6 @@ class FireResult:
     actions: list
 
 
-class InvariantViolation(Exception):
-    def __init__(self, instance, state, guard_name):
-        super().__init__(f"{instance} violates invariant of {state}: {guard_name}")
-        self.instance = instance
-        self.state = state
-        self.guard_name = guard_name
-
-
 class ControllerInstance:
     def __init__(self, defn: ControllerDefinition, car: str, clone: int = 0):
         self.defn = defn

@@ -16,33 +16,9 @@ class CommError(ValueError):
 
 
 @dataclass(frozen=True)
-class Seq:
-    """Finite sequence with 1-based function-application indexing."""
-
-    items: tuple = ()
-
-    def __call__(self, i: int):
-        if not 1 <= i <= len(self.items):
-            raise IndexError(f"index {i} outside 1..{len(self.items)}")
-        return self.items[i - 1]
-
-    @property
-    def length(self) -> int:
-        return len(self.items)
-
-    def __add__(self, other: "Seq") -> "Seq":
-        return Seq(self.items + other.items)
-
-    @staticmethod
-    def of(*items) -> "Seq":
-        return Seq(tuple(items))
-
-
-@dataclass(frozen=True)
 class Channel:
     name: str
     arity: int
-    element_kinds: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -55,22 +31,21 @@ class Message:
 
 @dataclass
 class Listener:
-    """One party offered a message: a guard to ask, an action on acceptance."""
+    """One party offered a message, with the guard that decides acceptance."""
 
     uid: str
     car: str
     guard: Callable[[Message], bool]
-    accept: Callable[[Message], None]
 
 
 @dataclass
 class Bus:
     channels: dict = field(default_factory=dict)
 
-    def declare_channel(self, name: str, arity: int, element_kinds=()) -> Channel:
+    def declare_channel(self, name: str, arity: int) -> Channel:
         if name in self.channels:
             raise CommError(f"channel {name!r} already declared")
-        ch = Channel(name, arity, tuple(element_kinds))
+        ch = Channel(name, arity)
         self.channels[name] = ch
         return ch
 
@@ -86,16 +61,15 @@ class Bus:
         return ch
 
     def broadcast(self, msg: Message, listeners) -> list:
-        """Deliver to every matching listener; returns (uid, accepted) pairs.
+        """Offer the message to the listeners; returns (uid, accepted) pairs.
 
-        Guards are all evaluated before any acceptance runs, so every
-        receiver judges the same state.  Within one car the listeners are
-        offered in the given order and the first acceptance consumes the
+        The bus only asks guards; receivers act on the report afterwards, so
+        every receiver judges the same state.  Within one car the listeners
+        are offered in the given order and the first acceptance consumes the
         message.  The sender never receives its own broadcast.
         """
         self.check(msg)
         report = []
-        winners = []
         taken_cars = set()
         for listener in listeners:
             if listener.car == msg.sender or listener.car in taken_cars:
@@ -103,8 +77,5 @@ class Bus:
             verdict = bool(listener.guard(msg))
             report.append((listener.uid, verdict))
             if verdict:
-                winners.append(listener)
                 taken_cars.add(listener.car)
-        for listener in winners:
-            listener.accept(msg)
         return report

@@ -34,10 +34,10 @@ from .snapshot import Action, ActionKind
 
 
 def standard_channels(bus: Bus) -> None:
-    bus.declare_channel("cross", 2, ("car", "cs-set"))
-    bus.declare_channel("yes", 2, ("car", "car"))
-    bus.declare_channel("no", 1, ("car",))
-    bus.declare_channel("finished", 1, ("car",))
+    bus.declare_channel("cross", 2)   # (car, crossing segments)
+    bus.declare_channel("yes", 2)     # (enquirer, helper)
+    bus.declare_channel("no", 1)      # (car)
+    bus.declare_channel("finished", 1)  # (car)
 
 
 # -- spatial guards ----------------------------------------------------------
@@ -306,16 +306,3 @@ def road_controller_stub() -> ControllerDefinition:
         invariants={},
         transitions=transitions,
     )
-
-
-def helper_pool(car: str, params: ProtocolParams, k: int):
-    """k idle helper clones for one car; the scheduler offers requests in
-    clone order and the first enabled clone consumes each one."""
-    from .automata import ControllerInstance
-
-    defn = helper_controller(params)
-    return [ControllerInstance(defn, car, clone=i) for i in range(k)]
-
-
-def inhibits_lane_claims(instance) -> bool:
-    return instance.defn.name == "road" and instance.state == "hold"

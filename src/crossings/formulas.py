@@ -38,7 +38,7 @@ from .logic import (
 )
 from .params import ProtocolParams
 from .snapshot import TrafficSnapshot
-from .views import Kind, MultiView, View, car_fragments
+from .views import Kind, MultiView, View, car_fragment, car_fragments
 
 
 def _fresh(taken: str) -> str:
@@ -121,18 +121,19 @@ def phinv_formula(c: str, cs_var: str, params: ProtocolParams) -> Formula:
     )
 
 
+# name -> (builder taking the params and then the arguments, min, max arguments)
 _BUILTINS = {
-    "safe": (safe_formula, 0, 1),
-    "col": (col_formula, 0, 1),
-    "ca": (None, 0, 1),
-    "pc": (None, 1, 2),
-    "oc": (oc_formula, 1, 1),
-    "ol": (ol_formula, 0, 0),
-    "ocac": (None, 1, 2),
-    "lc": (lc_formula, 1, 1),
-    "ph": (None, 1, 2),
-    "phinv": (None, 2, 2),
-    "disjoint": (None, 2, 2),
+    "safe": (lambda p, *a: safe_formula(*a), 0, 1),
+    "col": (lambda p, *a: col_formula(*a), 0, 1),
+    "ca": (ca_formula, 0, 1),
+    "pc": (lambda p, *a: pc_formula(*a), 1, 2),
+    "oc": (lambda p, c: oc_formula(c), 1, 1),
+    "ol": (lambda p: ol_formula(), 0, 0),
+    "ocac": (lambda p, c, *a: ocac_formula(c, p, *a), 1, 2),
+    "lc": (lambda p, c: lc_formula(c), 1, 1),
+    "ph": (lambda p, c, *a: ph_formula(c, p, *a), 1, 2),
+    "phinv": (lambda p, c, v: phinv_formula(c, v, p), 2, 2),
+    "disjoint": (lambda p, u, v: SetDisjoint(u, v), 2, 2),
 }
 
 
@@ -140,42 +141,14 @@ def builtin(name: str, args: list, params: Optional[ProtocolParams]) -> Formula:
     """Resolve an @-builtin reference from the concrete syntax."""
     if name not in _BUILTINS:
         raise KeyError(name)
-    builder, lo, hi = _BUILTINS[name]
+    build, lo, hi = _BUILTINS[name]
     if not (lo <= len(args) <= hi):
         raise TypeError(f"takes {lo} to {hi} arguments, got {len(args)}")
-    params = params or ProtocolParams()
-    if name == "safe":
-        return safe_formula(*args)
-    if name == "col":
-        return col_formula(*args)
-    if name == "ca":
-        return ca_formula(params, *args)
-    if name == "pc":
-        return pc_formula(*args)
-    if name == "oc":
-        return oc_formula(*args)
-    if name == "ol":
-        return ol_formula()
-    if name == "ocac":
-        c = args[0]
-        return ocac_formula(c, params, *args[1:])
-    if name == "lc":
-        return lc_formula(*args)
-    if name == "ph":
-        return ph_formula(args[0], params, *args[1:])
-    if name == "phinv":
-        return phinv_formula(args[0], args[1], params)
-    if name == "disjoint":
-        return SetDisjoint(args[0], args[1])
-    raise KeyError(name)
+    return build(params or ProtocolParams(), *args)
 
 
 # ---------------------------------------------------------------------------
 # direct interval checks
-
-
-def view_context(ts: TrafficSnapshot, view: View, ground_truth: bool = False) -> EvalContext:
-    return _context(ts, view, ground_truth)
 
 
 def _res(ctx: EvalContext, lane: int, car: str):
@@ -200,10 +173,17 @@ def _overlap_pos(a, b) -> bool:
     return False
 
 
-def geom_oc(ctx: EvalContext, car: str) -> bool:
+def _frag_res(ts: TrafficSnapshot, view: View, car: str):
+    """Reserved runs per lane of one car, from its fragment alone."""
+    merged = car_fragment(ts, car, view).merged
+    return [merged.get((lane, Kind.RESERVED), []) for lane in (0, 1)]
+
+
+def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
+    res = _frag_res(ts, view, car)
     for lane in (0, 1):
-        span = ctx.crossing_span.get(lane)
-        if span and _overlap_pos(_res(ctx, lane, car), [span]):
+        span = view.crossing_span(lane)
+        if span and _overlap_pos(res[lane], [span]):
             return True
     return False
 
@@ -217,8 +197,8 @@ def geom_col_pair(ctx: EvalContext, a: str, b: str) -> bool:
     return False
 
 
-def geom_lc(ctx: EvalContext, car: str) -> bool:
-    return _overlap_pos(_res(ctx, 0, car), _res(ctx, 1, car))
+def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
+    return _overlap_pos(*_frag_res(ts, view, car))
 
 
 def geom_pc(ctx: EvalContext, ego: str, c: str) -> bool:
@@ -293,7 +273,7 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     lane.  The lower lane must carry the ego reservation earlier on and
     satisfy the one-lane condition beside the pattern.
     """
-    ctx = view_context(ts, view)
+    ctx = _context(ts, view)
     if c == ego or c not in ctx.visible or not ctx.heading.get(c):
         return False
     span = ctx.crossing_span.get(1)
@@ -321,29 +301,25 @@ def geom_ph(ts: TrafficSnapshot, view: View, ego: str, c: str,
             params: ProtocolParams) -> bool:
     if c == ego:
         return False
-    ctx = view_context(ts, view)
-    if geom_lc(ctx, c):
+    if geom_lc(ts, view, c):
         return False
-    return geom_oc(ctx, c) or geom_ocac(ts, view, ego, c, params)
+    return geom_oc(ts, view, c) or geom_ocac(ts, view, ego, c, params)
 
 
 # ---------------------------------------------------------------------------
-# multi-view wrappers used by the controllers and the monitor
+# guard checks over a multi-view, used by the controllers and the monitor
 #
 # Guards re-evaluate many times against one snapshot during a micro-step, so
-# the per-car results are memoized for the snapshot's lifetime.
-
-_SWEEP_CACHE: dict = {}
+# each verdict is kept in the snapshot's store.
 
 
-def _cached(ts, key, compute):
-    entry = _SWEEP_CACHE.get(key)
-    if entry is not None and entry[0] is ts:
-        return entry[1]
+def _verdict(ts, mv, key, compute):
+    full = (id(mv),) + key
+    hit = ts.cache.get(full)
+    if hit is not None:
+        return hit[1]
     value = compute()
-    if len(_SWEEP_CACHE) > 20000:
-        _SWEEP_CACHE.clear()
-    _SWEEP_CACHE[key] = (ts, value)
+    ts.cache[full] = (mv, value)  # the multi-view pins the id in the key
     return value
 
 
@@ -353,13 +329,13 @@ def pc_cars(ts: TrafficSnapshot, mv: MultiView, ego: str) -> set:
     def compute():
         out = set()
         for view in mv.views:
-            ctx = view_context(ts, view)
+            ctx = _context(ts, view)
             for c in ctx.car_ids:
                 if c != ego and c not in out and geom_pc(ctx, ego, c):
                     out.add(c)
         return out
 
-    return _cached(ts, (id(ts), id(mv), ego, "pc"), compute)
+    return _verdict(ts, mv, ("pc", ego), compute)
 
 
 def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
@@ -374,7 +350,7 @@ def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
                     out.add(c)
         return out
 
-    return _cached(ts, (id(ts), id(mv), ego, "ph"), compute)
+    return _verdict(ts, mv, ("ph", ego), compute)
 
 
 def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
@@ -382,24 +358,22 @@ def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
     """Crossing-ahead, judged on the view aligned with the ego path."""
     if not mv.views:
         return False
-    return _cached(
-        ts, (id(ts), id(mv), ego, "ca"),
-        lambda: geom_ca(view_context(ts, mv.views[0]), ego, params.d_c),
+    return _verdict(
+        ts, mv, ("ca", ego),
+        lambda: geom_ca(_context(ts, mv.views[0]), ego, params.d_c),
     )
 
 
 def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    return _cached(
-        ts, (id(ts), id(mv), car, "oc"),
-        lambda: any(geom_oc(view_context(ts, v), car) for v in mv.views),
-    )
+    """Reservation on a crossing, read from the car's own fragments only."""
+    return _verdict(ts, mv, ("oc", car),
+                    lambda: any(geom_oc(ts, v, car) for v in mv.views))
 
 
 def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    return _cached(
-        ts, (id(ts), id(mv), car, "lc"),
-        lambda: any(geom_lc(view_context(ts, v), car) for v in mv.views),
-    )
+    """Mid lane change, read from the car's own fragments only."""
+    return _verdict(ts, mv, ("lc", car),
+                    lambda: any(geom_lc(ts, v, car) for v in mv.views))
 
 
 def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
@@ -428,4 +402,4 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
                         return (c, idx)
         return None
 
-    return _cached(ts, (id(ts), id(mv), ego, "col", ground_truth), compute)
+    return _verdict(ts, mv, ("col", ego, ground_truth), compute)

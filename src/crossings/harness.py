@@ -29,14 +29,6 @@ from .views import build_multiview
 _KIND_ORDER = {"road": 0, "crossing": 1, "helper": 2}
 
 
-def _reset_shared_caches() -> None:
-    # snapshot-version keyed caches grow for the lifetime of a run
-    from . import formulas, logic
-
-    logic._CTX_CACHE.clear()
-    formulas._SWEEP_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     time: float
@@ -93,7 +85,7 @@ class Simulation:
         self.events: list[TraceEvent] = []
         self.verdict = Verdict()
         self.time = 0.0
-        _reset_shared_caches()
+        self.tick = 0
         self._mv_cache: dict = {}
         self._stall: dict = {cid: 0.0 for cid in scenario.cars}
         self._last_pos: dict = {}
@@ -179,7 +171,7 @@ class Simulation:
                     return True
                 return False
 
-            return Listener(inst.uid, inst.car, guard, lambda message: None)
+            return Listener(inst.uid, inst.car, guard)
 
         # offer only instances that could take the message from their
         # current state; idle helper clones are interchangeable, so a single
@@ -312,21 +304,29 @@ class Simulation:
                 self._stall[cid] = 0.0
             self._last_pos[cid] = key
 
+    def step(self) -> None:
+        """One tick: micro-steps, monitor, invariants, then evolution."""
+        dt = self.scenario.dt
+        self.time = self.tick * dt
+        self.microstep()
+        self.monitor()
+        self.check_invariants()
+        self.ts = evolve_snapshot(self.ts, dt)
+        for inst in self.instances:
+            if inst.car in self.ts.cars:
+                inst.advance(dt)
+        self.tick += 1
+        self.time = self.tick * dt
+        self._update_stall()
+        self._emit_snapshot()
+
     def run(self, max_ticks: Optional[int] = None) -> Verdict:
+        """Emit the initial snapshot, step ``max_ticks`` ticks (default: the
+        scenario's) and judge deadlock."""
         ticks = self.scenario.ticks if max_ticks is None else max_ticks
         self._emit_snapshot()
-        for tick in range(ticks):
-            self.time = tick * self.scenario.dt
-            self.microstep()
-            self.monitor()
-            self.check_invariants()
-            self.ts = evolve_snapshot(self.ts, self.scenario.dt)
-            for inst in self.instances:
-                if inst.car in self.ts.cars:
-                    inst.advance(self.scenario.dt)
-            self.time = (tick + 1) * self.scenario.dt
-            self._update_stall()
-            self._emit_snapshot()
+        for _ in range(ticks):
+            self.step()
         deadlocked = frozenset(
             cid
             for cid, stalled in self._stall.items()

@@ -389,18 +389,14 @@ class _Eval:
         raise LogicError(f"cannot evaluate node {type(f).__name__}")
 
 
-_CTX_CACHE: dict = {}
-
-
-def _context(ts: TrafficSnapshot, view: View, ground_truth: bool) -> EvalContext:
-    key = (id(ts), id(view), ground_truth)
-    hit = _CTX_CACHE.get(key)
-    if hit is not None and hit[0] is ts and hit[1] is view:
-        return hit[2]
+def _context(ts: TrafficSnapshot, view: View, ground_truth: bool = False) -> EvalContext:
+    """The view's evaluation context, built once per snapshot."""
+    key = ("ctx", id(view), ground_truth)
+    hit = ts.cache.get(key)
+    if hit is not None:
+        return hit[1]
     ctx = EvalContext(ts, view, ground_truth)
-    if len(_CTX_CACHE) > 20000:
-        _CTX_CACHE.clear()
-    _CTX_CACHE[key] = (ts, view, ctx)
+    ts.cache[key] = (view, ctx)  # the view pins the id in the key
     return ctx
 
 

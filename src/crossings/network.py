@@ -350,14 +350,6 @@ def check_path(net: UrbanRoadNetwork, path: Sequence[NodeId]) -> None:
             raise ValueError(f"path adjacency {a} -> {b} is not a directed edge")
 
 
-def coarsen(net: UrbanRoadNetwork) -> CoarseNetwork:
-    return Topology(net).coarse
-
-
-def coarsen_path(net: UrbanRoadNetwork, path: Sequence[NodeId]) -> list[str]:
-    return Topology(net).coarsen_path(path)
-
-
 def shortest_directed_path(
     net: UrbanRoadNetwork,
     start: NodeId,
@@ -400,7 +392,3 @@ def shortest_directed_path(
             if nxt not in best:
                 heapq.heappush(heap, (hops + 1, key + (nxt._key,), path + (nxt,)))
     return None
-
-
-def pre_segments(net: UrbanRoadNetwork, cr_id: str) -> set[str]:
-    return Topology(net).pre_segments(cr_id)

@@ -20,6 +20,7 @@ cres, cclm, controllers (road,crossing,helper or none), monitor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -73,20 +74,31 @@ def _err(line_no: int, message: str):
     raise ScenarioError(f"line {line_no}: {message}")
 
 
+def _finite(line_no, value, text, what):
+    if not math.isfinite(value):
+        _err(line_no, f"{what} must be finite, got {text!r}")
+    return value
+
+
 def _parse_float(line_no, text, what):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         _err(line_no, f"bad {what} {text!r}")
+    return _finite(line_no, value, text, what)
+
+
+def _node(line_no, text):
+    try:
+        return NodeId.parse(text)
+    except ValueError:
+        _err(line_no, f"bad node id {text!r}")
 
 
 def _parse_nodes(line_no, text):
     if text in ("", "-"):
         return frozenset()
-    try:
-        return frozenset(NodeId.parse(p) for p in text.split(",") if p)
-    except ValueError:
-        _err(line_no, f"bad node list {text!r}")
+    return frozenset(_node(line_no, p) for p in text.split(",") if p)
 
 
 def parse_scenario(text: str, name: str = "<string>") -> Scenario:
@@ -111,24 +123,24 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         if section == "network":
             parts = line.split()
             if parts[0] == "lane" and len(parts) == 3:
-                weights[NodeId.parse(parts[1])] = _parse_float(line_no, parts[2], "weight")
+                weights[_node(line_no, parts[1])] = _parse_float(line_no, parts[2], "weight")
             elif parts[0] == "cs" and len(parts) == 3:
-                node = NodeId.parse(parts[1])
+                node = _node(line_no, parts[1])
                 if not node.is_crossing:
                     _err(line_no, f"{parts[1]} is not a crossing segment id")
                 weights[node] = _parse_float(line_no, parts[2], "weight")
             elif parts[0] == "edge" and len(parts) == 3:
-                directed.append((NodeId.parse(parts[1]), NodeId.parse(parts[2])))
+                directed.append((_node(line_no, parts[1]), _node(line_no, parts[2])))
             elif parts[0] == "pair" and len(parts) in (3, 4):
-                a, b = NodeId.parse(parts[1]), NodeId.parse(parts[2])
+                a, b = _node(line_no, parts[1]), _node(line_no, parts[2])
                 undirected.append((a, b))
                 if len(parts) == 4:
                     segment_names[parts[3]] = frozenset((a, b))
-            elif parts[0] == "intersection" and "=" in line:
+            elif parts[0] == "intersection" and len(line.split("=")[0].split()) == 2:
                 head, _, tail = line.partition("=")
                 cname = head.split()[1]
                 intersection_names[cname] = frozenset(
-                    NodeId.parse(p) for p in tail.split()
+                    _node(line_no, p) for p in tail.split()
                 )
             else:
                 _err(line_no, f"bad network line {line!r}")
@@ -155,9 +167,10 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             return default
         line_no, value = raw_params[key]
         try:
-            return cast(value)
+            out = cast(value)
         except ValueError:
             _err(line_no, f"bad value for {key}: {value!r}")
+        return _finite(line_no, out, value, key) if cast is float else out
 
     params = ProtocolParams(
         d_c=param("d_c", 60.0),
@@ -199,14 +212,14 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             fields[key] = value
         if "path" not in fields:
             _err(line_no, f"car {cid} needs a path")
-        path = tuple(NodeId.parse(p) for p in fields["path"].split(","))
+        path = tuple(_node(line_no, p) for p in fields["path"].split(","))
         try:
             check_path(net, path)
         except ValueError as exc:
             _err(line_no, f"car {cid}: {exc}")
         curr = 0
         if "node" in fields:
-            node = NodeId.parse(fields["node"])
+            node = _node(line_no, fields["node"])
             if node not in path:
                 _err(line_no, f"car {cid}: node {node} not on its path")
             curr = path.index(node)

@@ -14,7 +14,7 @@ references this model abstracts from:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -48,8 +48,22 @@ class CarState:
 
 @dataclass(frozen=True)
 class TrafficSnapshot:
+    """The cars on a network, plus what is derived from them.
+
+    The snapshot owns everything computed from it and drops it with itself.
+    ``car_cache`` holds, per car id, the projections of that car alone
+    (occupancy, view fragments), which depend only on its own state and the
+    network; ``with_car`` hands them on for every car it leaves untouched.
+    ``cache`` holds what reads every car (evaluation contexts per view,
+    guard verdicts per multi-view) and starts empty in every new snapshot.
+    Entries keyed on an object's ``id()`` hold that object, so the id stays
+    unique while the entry lives.
+    """
+
     cars: dict  # car id -> CarState; treat as read-only
     net: UrbanRoadNetwork
+    car_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def car_ids(self) -> list[str]:
         return sorted(self.cars)
@@ -57,12 +71,9 @@ class TrafficSnapshot:
     def with_car(self, cid: str, state: CarState) -> "TrafficSnapshot":
         cars = dict(self.cars)
         cars[cid] = state
-        return TrafficSnapshot(cars, self.net)
-
-    def without_car(self, cid: str) -> "TrafficSnapshot":
-        cars = dict(self.cars)
-        cars.pop(cid, None)
-        return TrafficSnapshot(cars, self.net)
+        out = TrafficSnapshot(cars, self.net)
+        out.car_cache.update((c, m) for c, m in self.car_cache.items() if c != cid)
+        return out
 
 
 def braking_distance(speed: float, b_max: float = 8.0) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import Optional
 
 from .network import NodeId, Topology, shortest_directed_path
@@ -52,12 +53,10 @@ class VirtualLane:
         raw = (min(p.lo for p in pieces), max(p.hi for p in pieces)) \
             if pieces else None
         object.__setattr__(self, "raw_crossing_span", raw)
-
-    def span_of(self, node: NodeId) -> Optional[Span]:
-        for s in self.spans:
-            if s.node == node:
-                return s
-        return None
+        placements: dict = {}  # node -> its spans on this lane
+        for span in self.spans:
+            placements.setdefault(span.node, []).append(span)
+        object.__setattr__(self, "placements", placements)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def _lay_backward(topo, nodes, entry_boundary):
 
 def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
                   h_f: float = float("inf"),
-                  h_b: float = float("inf")) -> list[LanePair]:
+                  h_b: float = float("inf")) -> tuple[LanePair, ...]:
     """Straightened lane pairs for the ego car.
 
     One pair per approach road of the relevant intersection (the one ahead
@@ -195,94 +194,76 @@ def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
     return _own_path_pair(topo, s.path, anchor_idx, s.curr)
 
 
-# lane geometry depends only on (path, anchor, intersection), never on car
-# positions, so built pairs are reused across ticks; the owning topology is
-# pinned in each entry so a recycled id can never alias a dead one
-_PAIR_CACHE: dict = {}
+# Lane geometry depends only on the topology and the ego path (anchor,
+# current node, intersection), never on car positions, so the pair builders
+# are memoized: a car's pairs are built once per path position, not per tick.
 
 
-def _pair_cached(topo, key, build):
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None and hit[0] is topo:
-        return hit[1]
-    if len(_PAIR_CACHE) > 512:
-        _PAIR_CACHE.clear()
-    pairs = build()
-    _PAIR_CACHE[key] = (topo, pairs)
-    return pairs
-
-
+@lru_cache(maxsize=512)
 def _straight_pair(topo, anchor):
-    def build():
-        net = topo.net
-        partner = net.lane_partner(anchor)
-        fwd = VirtualLane((anchor,), Orientation.SAME_AS_EGO,
-                          _lay_forward(topo, (anchor,), 0.0))
-        bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
-                          _lay_backward(topo, (partner,), net.weights[anchor]))
-        return [LanePair(fwd, bwd, topo.segment_of[anchor].id)]
-
-    return _pair_cached(topo, (id(topo), anchor), build)
+    net = topo.net
+    partner = net.lane_partner(anchor)
+    fwd = VirtualLane((anchor,), Orientation.SAME_AS_EGO,
+                      _lay_forward(topo, (anchor,), 0.0))
+    bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
+                      _lay_backward(topo, (partner,), net.weights[anchor]))
+    return (LanePair(fwd, bwd, topo.segment_of[anchor].id),)
 
 
+@lru_cache(maxsize=512)
 def _own_path_pair(topo, path, anchor_idx, curr):
-    def build():
-        net = topo.net
-        anchor = path[anchor_idx]
-        end = anchor_idx + 1
-        while end < len(path) and path[end].is_crossing:
-            end += 1
-        nodes = path[anchor_idx:min(end + 1, len(path))]
-        anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
-        partner = net.lane_partner(anchor)
-        fwd = VirtualLane(nodes, Orientation.SAME_AS_EGO,
-                          _lay_forward(topo, nodes, anchor_start))
-        bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
-                          _lay_backward(topo, (partner,),
-                                        anchor_start + net.weights[anchor]))
-        exit_lane = nodes[-1] if nodes[-1].is_lane else anchor
-        return [LanePair(fwd, bwd, topo.segment_of[exit_lane].id)]
-
-    return _pair_cached(topo, (id(topo), path, anchor_idx, curr, "own"), build)
+    net = topo.net
+    anchor = path[anchor_idx]
+    end = anchor_idx + 1
+    while end < len(path) and path[end].is_crossing:
+        end += 1
+    nodes = path[anchor_idx:min(end + 1, len(path))]
+    anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
+    partner = net.lane_partner(anchor)
+    fwd = VirtualLane(nodes, Orientation.SAME_AS_EGO,
+                      _lay_forward(topo, nodes, anchor_start))
+    bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
+                      _lay_backward(topo, (partner,),
+                                    anchor_start + net.weights[anchor]))
+    exit_lane = nodes[-1] if nodes[-1].is_lane else anchor
+    return (LanePair(fwd, bwd, topo.segment_of[exit_lane].id),)
 
 
+@lru_cache(maxsize=512)
 def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
-    def build():
-        net = topo.net
-        anchor = path[anchor_idx]
-        anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
-        partner = net.lane_partner(anchor)
-        r_curr = topo.segment_of[anchor]
-        approaches = sorted(topo.pre_segments(cr_id) - {r_curr.id})
+    net = topo.net
+    anchor = path[anchor_idx]
+    anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
+    partner = net.lane_partner(anchor)
+    r_curr = topo.segment_of[anchor]
+    approaches = sorted(topo.pre_segments(cr_id) - {r_curr.id})
 
-        own_exit = None
-        for j in range(anchor_idx + 1, len(path)):
-            n = path[j]
-            if n.is_lane and topo.segment_of[n].id in approaches:
-                own_exit = topo.segment_of[n].id
-                break
-        if own_exit in approaches:
-            approaches.remove(own_exit)
-            approaches.insert(0, own_exit)
+    own_exit = None
+    for j in range(anchor_idx + 1, len(path)):
+        n = path[j]
+        if n.is_lane and topo.segment_of[n].id in approaches:
+            own_exit = topo.segment_of[n].id
+            break
+    if own_exit in approaches:
+        approaches.remove(own_exit)
+        approaches.insert(0, own_exit)
 
-        seg_lanes = {seg.id: seg.lanes for seg in topo.segments}
-        entry_boundary = anchor_start + net.weights[anchor]
-        pairs = []
-        for rj in approaches:
-            fwd_nodes = shortest_directed_path(net, anchor, seg_lanes[rj], "forwards")
-            bwd_directed = shortest_directed_path(net, partner, seg_lanes[rj],
-                                                  "backwards")
-            if fwd_nodes is None or bwd_directed is None:
-                continue  # one-way feeder, no closed pair through the crossing
-            bwd_nodes = tuple(reversed(bwd_directed))
-            fwd = VirtualLane(fwd_nodes, Orientation.SAME_AS_EGO,
-                              _lay_forward(topo, fwd_nodes, anchor_start))
-            bwd = VirtualLane(bwd_nodes, Orientation.OPPOSITE_TO_EGO,
-                              _lay_backward(topo, bwd_nodes, entry_boundary))
-            pairs.append(LanePair(fwd, bwd, rj))
-        return pairs
-
-    return _pair_cached(topo, (id(topo), path, anchor_idx, curr, cr_id), build)
+    seg_lanes = {seg.id: seg.lanes for seg in topo.segments}
+    entry_boundary = anchor_start + net.weights[anchor]
+    pairs = []
+    for rj in approaches:
+        fwd_nodes = shortest_directed_path(net, anchor, seg_lanes[rj], "forwards")
+        bwd_directed = shortest_directed_path(net, partner, seg_lanes[rj],
+                                              "backwards")
+        if fwd_nodes is None or bwd_directed is None:
+            continue  # one-way feeder, no closed pair through the crossing
+        bwd_nodes = tuple(reversed(bwd_directed))
+        fwd = VirtualLane(fwd_nodes, Orientation.SAME_AS_EGO,
+                          _lay_forward(topo, fwd_nodes, anchor_start))
+        bwd = VirtualLane(bwd_nodes, Orientation.OPPOSITE_TO_EGO,
+                          _lay_backward(topo, bwd_nodes, entry_boundary))
+        pairs.append(LanePair(fwd, bwd, rj))
+    return tuple(pairs)
 
 
 def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
@@ -305,38 +286,12 @@ def _extent_entries(ts, owner, cid, ground_truth):
     return physical_extent(ts, owner, cid)
 
 
-_PLACEMENT_CACHE: dict = {}
-
-
-def _placements(lanes) -> dict:
-    """node -> [(lane index, span)] for a pair of virtual lanes."""
-    key = (id(lanes[0]), id(lanes[1]))
-    hit = _PLACEMENT_CACHE.get(key)
-    if hit is not None and hit[0] is lanes[0] and hit[1] is lanes[1]:
-        return hit[2]
-    placements: dict = {}
-    for lane_idx, vlane in enumerate(lanes):
-        for span in vlane.spans:
-            placements.setdefault(span.node, []).append((lane_idx, span))
-    if len(_PLACEMENT_CACHE) > 512:
-        _PLACEMENT_CACHE.clear()
-    _PLACEMENT_CACHE[key] = (lanes[0], lanes[1], placements)
-    return placements
-
-
 def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
-    """((node, lo, hi) reserved, claimed nodes) in node-local coordinates.
-
-    Memoized on the car state object itself: controller actions replace one
-    car's state and leave everyone else's untouched, so their projections
-    carry over between snapshot versions (and die with the state).
-    """
+    """((node, lo, hi) reserved, claimed nodes) in node-local coordinates,
+    kept in the snapshot's per-car store."""
     mode = "gt" if ground_truth else ("own" if own_view else "seen")
     s = ts.cars[cid]
-    memo = getattr(s, "_occupancy_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(s, "_occupancy_memo", memo)
+    memo = ts.car_cache.setdefault(cid, {})
     hit = memo.get(mode)
     if hit is not None:
         return hit
@@ -391,20 +346,18 @@ def _merge_runs(intervals):
     return out
 
 
-def _car_fragment(ts, cid, view, ground_truth) -> CarFragment:
-    """One car's projected occupancy on a view, memoized on the car state."""
-    s = ts.cars[cid]
+def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
+                 ground_truth: bool = False) -> CarFragment:
+    """One car's projected occupancy on a view, kept in the snapshot's
+    per-car store."""
     own = not ground_truth and cid == view.owner
-    memo = getattr(s, "_fragment_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(s, "_fragment_memo", memo)
-    key = (id(view.lanes[0]), id(view.lanes[1]), view.extent, own, ground_truth)
+    memo = ts.car_cache.setdefault(cid, {})
+    lanes = view.lanes
+    key = (id(lanes[0]), id(lanes[1]), view.extent, own, ground_truth)
     hit = memo.get(key)
     if hit is not None:
-        return hit
+        return hit[1]
     a, b = view.extent
-    placements = _placements(view.lanes)
     out = []
 
     def emit(lane_idx, span, lo_local, hi_local, kind):
@@ -419,20 +372,19 @@ def _car_fragment(ts, cid, view, ground_truth) -> CarFragment:
             out.append((lane_idx, lo, hi, kind, span.node.is_crossing))
 
     reserved_nodes, claimed_nodes = _node_occupancy(ts, cid, own, ground_truth)
-    for node, lo, hi in reserved_nodes:
-        for lane_idx, span in placements.get(node, ()):
-            emit(lane_idx, span, lo, hi, Kind.RESERVED)
-    for node, lo, hi in claimed_nodes:
-        for lane_idx, span in placements.get(node, ()):
-            emit(lane_idx, span, lo, hi, Kind.CLAIMED)
+    for kind, nodes in ((Kind.RESERVED, reserved_nodes), (Kind.CLAIMED, claimed_nodes)):
+        for node, lo, hi in nodes:
+            for lane_idx, vlane in enumerate(lanes):
+                for span in vlane.placements.get(node, ()):
+                    emit(lane_idx, span, lo, hi, kind)
     fragment = CarFragment(out)
-    memo[key] = fragment
+    memo[key] = (lanes, fragment)  # the lanes pin the ids in the key
     return fragment
 
 
 def car_fragments(ts: TrafficSnapshot, view: View, ground_truth: bool = False):
-    """{car id: CarFragment} for every car, heavy parts memoized per state."""
-    return {cid: _car_fragment(ts, cid, view, ground_truth)
+    """{car id: CarFragment} for every car, in car id order."""
+    return {cid: car_fragment(ts, cid, view, ground_truth)
             for cid in sorted(ts.cars)}
 
 
@@ -452,7 +404,7 @@ def project_occupancy(ts: TrafficSnapshot, view: View,
     """
     out = []
     for cid in sorted(ts.cars):
-        for lane_idx, lo, hi, kind, crossing in _car_fragment(
+        for lane_idx, lo, hi, kind, crossing in car_fragment(
             ts, cid, view, ground_truth
         ).intervals:
             out.append(OccupancyInterval(lane_idx, lo, hi, cid, kind, crossing))

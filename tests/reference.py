@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .logic import (
+from crossings.logic import (
     EPS,
     And,
     Cl,
@@ -37,8 +37,8 @@ from .logic import (
     TrueF,
     VChop,
 )
-from .snapshot import TrafficSnapshot
-from .views import Kind, View
+from crossings.snapshot import TrafficSnapshot
+from crossings.views import Kind, View
 
 
 class GridOracle:

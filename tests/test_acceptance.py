@@ -13,12 +13,12 @@ from crossings.harness import Simulation, run, write_trace
 from crossings.logic import default_valuation, eval_formula, invert, parse
 from crossings.network import NodeId
 from crossings.randomgen import negative_scenario, sweep_scenario
-from crossings.reference import oracle_eval
 from crossings.scenario import load_scenario
 from crossings.snapshot import evolve, sanity_check
 from crossings.views import build_multiview, twist
 
 from gridgen import GRID_POINTS, random_instance
+from reference import oracle_eval
 
 
 def report(criterion, text):

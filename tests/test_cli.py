@@ -50,6 +50,46 @@ class TestValidate:
         assert main(["validate", "/nowhere/else.scn"]) == 2
 
 
+class TestMalformedScenario:
+    """Bad input ends in exit code 2 with a message naming the line."""
+
+    def run_edited(self, tmp_path, capsys, old, new):
+        from importlib import resources
+
+        text = resources.files("crossings").joinpath(
+            "scenarios", "lone-left-turn.scn").read_text()
+        assert old in text
+        path = tmp_path / "edited.scn"
+        path.write_text(text.replace(old, new, 1))
+        code = main(["run", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_bad_node_in_path(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "path=7,c0,c1,c2,4", "path=0,zz")
+        assert code == 2
+        assert "bad node id 'zz'" in err and "line 36" in err
+
+    def test_bad_lane_id(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "lane 0 150", "lane x 100")
+        assert code == 2
+        assert "bad node id 'x'" in err and "line 4" in err
+
+    def test_unnamed_intersection(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "intersection cr =", "intersection =")
+        assert code == 2
+        assert "bad network line" in err and "line 32" in err
+
+    def test_infinite_max_time(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "max_time = 12", "max_time = inf")
+        assert code == 2
+        assert "max_time must be finite" in err
+
+    def test_nan_speed(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=nan")
+        assert code == 2
+        assert "speed must be finite" in err
+
+
 class TestRun:
     def test_safe_run_exits_zero(self, tmp_path, capsys):
         trace = tmp_path / "run.trace"

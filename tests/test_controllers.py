@@ -4,13 +4,13 @@ from crossings.automata import ControllerInstance, GuardEnv
 from crossings.controllers import (
     crossing_controller,
     helper_controller,
-    helper_pool,
-    inhibits_lane_claims,
     road_controller_stub,
 )
 from crossings.comm import Message
+from crossings.harness import Simulation
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
+from crossings.scenario import load_scenario
 from crossings.snapshot import ActionKind, TrafficSnapshot, apply_action
 from crossings.views import build_multiview
 
@@ -309,9 +309,11 @@ class TestHelperController:
 
 class TestHelperPool:
     def test_pool_size_and_uids(self):
-        clones = helper_pool("B", PARAMS, 4)
-        assert len(clones) == 4
-        assert [c.uid for c in clones] == [f"B/helper/{i}" for i in range(4)]
+        # one idle helper clone per car of the scenario, for every equipped car
+        sim = Simulation(load_scenario("helper-yes"))
+        clones = [i for i in sim.instances if i.car == "D" and i.defn.name == "helper"]
+        assert len(clones) == len(sim.scenario.cars)
+        assert [c.uid for c in clones] == [f"D/helper/{i}" for i in range(len(clones))]
         assert all(c.state == "q0" for c in clones)
 
 
@@ -327,7 +329,7 @@ class TestRoadStub:
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("idle", "hold")
         inst.fire(t, env, now=0.0)
-        assert inhibits_lane_claims(inst)
+        assert inst.state == "hold"
         env = env_for(topo, ts, inst)
         t2 = inst.enabled_transition(env)
         assert (t2.source, t2.target) == ("hold", "hold")
@@ -341,7 +343,7 @@ class TestRoadStub:
         )
         inst = ControllerInstance(road_controller_stub(), "E")
         assert inst.enabled_transition(env_for(topo, ts, inst)) is None
-        assert not inhibits_lane_claims(inst)
+        assert inst.state == "idle"
 
     def test_returns_to_idle_after_the_zone(self, topo):
         ts = TrafficSnapshot(

@@ -21,9 +21,8 @@ from crossings.formulas import (
     ph_formula,
     phinv_formula,
     safe_formula,
-    view_context,
 )
-from crossings.logic import default_valuation, eval_formula, eval_multiview
+from crossings.logic import EvalContext, default_valuation, eval_formula, eval_multiview
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
 from crossings.snapshot import TrafficSnapshot
@@ -47,13 +46,13 @@ class TestEquivalence:
         checked = 0
         for _ in range(60):
             ts, view = random_scene(rng)
-            ctx = view_context(ts, view)
+            ctx = EvalContext(ts, view)
             nu = default_valuation(ts, "E")
             for c in sorted(ts.cars):
-                assert geom_oc(ctx, c) == eval_formula(
+                assert geom_oc(ts, view, c) == eval_formula(
                     ts, view, nu, oc_formula(c)
                 ), ("oc", c)
-                assert geom_lc(ctx, c) == eval_formula(
+                assert geom_lc(ts, view, c) == eval_formula(
                     ts, view, nu, lc_formula(c)
                 ), ("lc", c)
                 assert geom_pc(ctx, "E", c) == eval_formula(
@@ -73,7 +72,7 @@ class TestEquivalence:
         rng = random.Random(77)
         for _ in range(60):
             ts, view = random_scene(rng)
-            ctx = view_context(ts, view)
+            ctx = EvalContext(ts, view)
             nu = default_valuation(ts, "E")
             assert geom_ca(ctx, "E", PARAMS.d_c) == eval_formula(
                 ts, view, nu, ca_formula(PARAMS)
@@ -83,7 +82,7 @@ class TestEquivalence:
         rng = random.Random(13)
         for _ in range(40):
             ts, view = random_scene(rng)
-            ctx = view_context(ts, view)
+            ctx = EvalContext(ts, view)
             nu = default_valuation(ts, "E")
             direct = any(geom_col_pair(ctx, "E", c) for c in ts.cars)
             assert direct == eval_formula(ts, view, nu, col_formula())
@@ -103,12 +102,12 @@ class TestBehaviour:
             {"E": make_car(path("7", "c0", "c1", "2"), 135.0, speed=8.0)}, topo.net
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert geom_ca(view_context(ts, mv.views[0]), "E", PARAMS.d_c)
+        assert geom_ca(EvalContext(ts, mv.views[0]), "E", PARAMS.d_c)
         far = TrafficSnapshot(
             {"E": make_car(path("7", "c0", "c1", "2"), 30.0, speed=8.0)}, topo.net
         )
         mv_far = build_multiview(topo, far, "E", h_b=50.0, h_f=150.0)
-        assert not geom_ca(view_context(far, mv_far.views[0]), "E", PARAMS.d_c)
+        assert not geom_ca(EvalContext(far, mv_far.views[0]), "E", PARAMS.d_c)
 
     def test_ca_fails_with_a_car_in_between(self, topo):
         ts = TrafficSnapshot(
@@ -119,7 +118,7 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert not geom_ca(view_context(ts, mv.views[0]), "E", PARAMS.d_c)
+        assert not geom_ca(EvalContext(ts, mv.views[0]), "E", PARAMS.d_c)
 
     def test_pc_triggers_on_claim_overlap(self, topo):
         shared = frozenset({cs(0), cs(1)})
@@ -133,7 +132,7 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        ctxs = [view_context(ts, v) for v in mv.views]
+        ctxs = [EvalContext(ts, v) for v in mv.views]
         assert any(geom_pc(ctx, "E", "C") for ctx in ctxs)
 
     def test_crossing_reservations_of_others_stay_invisible(self, topo):
@@ -148,7 +147,7 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert all(not geom_pc(view_context(ts, v), "E", "A") for v in mv.views)
+        assert all(not geom_pc(EvalContext(ts, v), "E", "A") for v in mv.views)
 
     def test_monitor_sees_braking_distance_invasion(self, topo):
         # E reserved c0/c1 and approaches; A's envelope (with its reserved
@@ -212,8 +211,7 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        ctx = view_context(ts, mv.views[0])
-        assert geom_lc(ctx, "E")
+        assert geom_lc(ts, mv.views[0], "E")
         nu = default_valuation(ts, "E")
         assert eval_formula(ts, mv.views[0], nu, lc_formula("E"))
 

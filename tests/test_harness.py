@@ -164,6 +164,41 @@ class TestDeterminism:
         assert pa.stat().st_size > 0
 
 
+def rendered(events):
+    return [ev.render() for ev in events]
+
+
+class TestRunIsolation:
+    """Runs in one process share nothing: neither with each other nor with
+    an earlier run of the same parsed scenario."""
+
+    def test_alternately_stepped_simulations_match_fresh_runs(self):
+        # 80 ticks (dt <= 0.1 s) stay inside the 20 s deadlock patience, so
+        # a fresh run's trace ends with the last snapshot, as a stepped one does
+        labels = ("helper-yes", 3, 6)
+        scenarios = [load_scenario(x) if isinstance(x, str) else sweep_scenario(x)
+                     for x in labels]
+        ticks = 80
+        sims = [Simulation(sc) for sc in scenarios]
+        for sim in sims:
+            sim.run(max_ticks=0)  # the initial snapshot
+        for _ in range(ticks):
+            for sim in sims:
+                sim.step()
+        for label, sim in zip(labels, sims):
+            fresh = load_scenario(label) if isinstance(label, str) \
+                else sweep_scenario(label)
+            _, events = run(fresh, max_ticks=ticks)
+            assert rendered(sim.events) == rendered(events), label
+
+    def test_one_parsed_scenario_runs_twice_alike(self):
+        scenario = sweep_scenario(9)
+        first = rendered(run(scenario)[1])
+        run(load_scenario("left-turn"), max_ticks=40)  # another run between
+        assert rendered(run(scenario)[1]) == first
+        assert rendered(run(sweep_scenario(9))[1]) == first
+
+
 class TestTraceWellformedness:
     def test_time_is_monotone_and_snapshots_sane(self):
         scenario = load_scenario("helper-yes")

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from crossings.logic import default_valuation, eval_formula, pretty
-from crossings.reference import oracle_eval
-
 from gridgen import GRID_POINTS, random_instance
+from reference import oracle_eval
 
 
 def duel(seed: int, rounds: int, max_depth: int = 4) -> int:
