@@ -5,8 +5,12 @@ controllers use (reachable from concrete syntax as ``@ca``, ``@pc(c)``, ...).
 The ``geom_*`` functions compute the same predicates straight from the
 projected occupancy intervals; the controller engine and the safety monitor
 call these on every tick, so they avoid chop search where the pattern allows
-it.  ``test_formulas`` pins both routes against each other on randomized
-snapshots.
+it.  They also project only the cars that can change the verdict: those whose
+node-local occupancy meets the ego's, or the stretch in question, on a shared
+network node (the broad phase in ``views``).  Only the one-lane condition of
+``ph`` builds a full evaluation context over every car.  ``test_formulas``
+pins both routes against each other on randomized snapshots, and the narrowed
+checks against all-car scans.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .logic import (
     TRUE,
     _context,
     _intersects_open,
+    _merge,
     ands,
     chops,
     ors,
@@ -38,7 +43,15 @@ from .logic import (
 )
 from .params import ProtocolParams
 from .snapshot import TrafficSnapshot
-from .views import Kind, MultiView, View, car_fragment, car_fragments
+from .views import (
+    NODE_TOL,
+    Kind,
+    MultiView,
+    View,
+    car_fragment,
+    cars_meeting,
+    node_occupancy,
+)
 
 
 def _fresh(taken: str) -> str:
@@ -155,10 +168,6 @@ def _res(ctx: EvalContext, lane: int, car: str):
     return ctx.by_key.get((lane, Kind.RESERVED, car), [])
 
 
-def _clm(ctx: EvalContext, lane: int, car: str):
-    return ctx.by_key.get((lane, Kind.CLAIMED, car), [])
-
-
 def _overlap_pos(a, b) -> bool:
     i = j = 0
     while i < len(a) and j < len(b):
@@ -201,30 +210,46 @@ def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
     return _overlap_pos(*_frag_res(ts, view, car))
 
 
-def geom_pc(ctx: EvalContext, ego: str, c: str) -> bool:
+def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
     if c == ego:
         return False
+    mine = car_fragment(ts, ego, view).merged
+    theirs = car_fragment(ts, c, view).merged
     for lane in (0, 1):
-        mine = _clm(ctx, lane, ego)
-        if not mine:
+        claim = mine.get((lane, Kind.CLAIMED))
+        if not claim:
             continue
-        if _overlap_pos(mine, _res(ctx, lane, c)) or _overlap_pos(mine, _clm(ctx, lane, c)):
+        if _overlap_pos(claim, theirs.get((lane, Kind.RESERVED), [])) or \
+                _overlap_pos(claim, theirs.get((lane, Kind.CLAIMED), [])):
             return True
     return False
 
 
-def geom_ca(ctx: EvalContext, ego: str, d_c: float) -> bool:
+def _occupied(ts: TrafficSnapshot, view: View, lane: int, lo: float, hi: float):
+    """Merged runs, of every kind, of the cars on the nodes whose spans on
+    the lane meet [lo, hi]: all of the lane's occupancy that can reach into
+    that stretch (the broad phase in `views`)."""
+    near = [(s.node, 0.0, ts.net.weights[s.node]) for s in view.lanes[lane].spans
+            if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
+    runs = []
+    for c in cars_meeting(ts, near, view.owner, claims=True):
+        merged = car_fragment(ts, c, view).merged
+        runs.extend(merged.get((lane, Kind.RESERVED), ()))
+        runs.extend(merged.get((lane, Kind.CLAIMED), ()))
+    return _merge(runs)
+
+
+def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
+    res = _frag_res(ts, view, ego)
     for lane in (0, 1):
-        span = ctx.crossing_span.get(lane)
+        span = view.crossing_span(lane)
         if span is None:
             continue
         start = span[0]
-        for lo, hi in _res(ctx, lane, ego):
-            if hi >= start - EPS:
+        for lo, hi in res[lane]:
+            if hi >= start - EPS or start - hi >= d_c - EPS:
                 continue
-            if start - hi < d_c - EPS and not _intersects_open(
-                ctx.any_occ.get(lane, []), hi, start
-            ):
+            if not _intersects_open(_occupied(ts, view, lane, hi, start), hi, start):
                 return True
     return False
 
@@ -273,16 +298,16 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     lane.  The lower lane must carry the ego reservation earlier on and
     satisfy the one-lane condition beside the pattern.
     """
-    ctx = _context(ts, view)
-    if c == ego or c not in ctx.visible or not ctx.heading.get(c):
+    if c == ego or not ts.cars[c].heading_with_lane:
         return False
-    span = ctx.crossing_span.get(1)
-    if span is None:
+    span = view.crossing_span(1)
+    if span is None or not car_fragment(ts, c, view).intervals:
         return False
-    s1, t1 = span
-    ego_intervals = _res(ctx, 0, ego)
+    ego_intervals = _frag_res(ts, view, ego)[0]
     if not ego_intervals:
         return False
+    ctx = _context(ts, view)
+    s1, t1 = span
     min_lo = min(lo for lo, _ in ego_intervals)
     p_lo = max(s1, min_lo)  # the cs part starts after some ego reservation
     if p_lo >= t1 - EPS:
@@ -324,14 +349,19 @@ def _verdict(ts, mv, key, compute):
 
 
 def pc_cars(ts: TrafficSnapshot, mv: MultiView, ego: str) -> set:
-    """Cars in potential collision with the ego claim, in any view."""
+    """Cars in potential collision with the ego claim, in any view.
+
+    Only the cars whose reservations or claims share a node with the ego
+    claim are projected (the broad phase in `views`).
+    """
 
     def compute():
+        claimed = node_occupancy(ts, ego, mv.owner)[1]
+        near = cars_meeting(ts, claimed, mv.owner, claims=True)
         out = set()
         for view in mv.views:
-            ctx = _context(ts, view)
-            for c in ctx.car_ids:
-                if c != ego and c not in out and geom_pc(ctx, ego, c):
+            for c in near:
+                if c != ego and c not in out and geom_pc(ts, view, ego, c):
                     out.add(c)
         return out
 
@@ -360,7 +390,7 @@ def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
         return False
     return _verdict(
         ts, mv, ("ca", ego),
-        lambda: geom_ca(_context(ts, mv.views[0]), ego, params.d_c),
+        lambda: geom_ca(ts, mv.views[0], ego, params.d_c),
     )
 
 
@@ -381,23 +411,26 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
     """First (car, view index) whose reservation overlaps the ego's.
 
     Works straight off the per-car fragments: the monitor calls this for
-    every car on every tick, so no full evaluation context is assembled.
+    every car on every tick, so no full evaluation context is assembled, and
+    only the rivals, the cars whose reservations meet the ego's on a node
+    (the broad phase in `views`), are projected at all.
     """
 
     def compute():
+        reserved = node_occupancy(ts, ego, mv.owner, ground_truth)[0]
+        rivals = [c for c in cars_meeting(ts, reserved, mv.owner, ground_truth)
+                  if c != ego]
+        if not rivals:
+            return None
         for idx, view in enumerate(mv.views):
-            frags = car_fragments(ts, view, ground_truth)
-            mine = frags.get(ego)
-            if mine is None:
-                continue
+            mine = car_fragment(ts, ego, view, ground_truth).merged
             for lane_idx in (0, 1):
-                ego_runs = mine.merged.get((lane_idx, Kind.RESERVED))
+                ego_runs = mine.get((lane_idx, Kind.RESERVED))
                 if not ego_runs:
                     continue
-                for c, frag in frags.items():
-                    if c == ego:
-                        continue
-                    runs = frag.merged.get((lane_idx, Kind.RESERVED))
+                for c in rivals:
+                    runs = car_fragment(ts, c, view, ground_truth).merged.get(
+                        (lane_idx, Kind.RESERVED))
                     if runs and _overlap_pos(ego_runs, runs):
                         return (c, idx)
         return None

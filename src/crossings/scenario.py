@@ -39,6 +39,7 @@ from .snapshot import (
 from .views import build_multiview
 
 CONTROLLER_KINDS = ("road", "crossing", "helper")
+MAX_TICKS = 1_000_000  # the bundled scenarios need at most 2,400
 
 
 class ScenarioError(ValueError):
@@ -266,6 +267,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     problems = list(scenario.params.validate())
     if scenario.dt <= 0:
         problems.append("dt must be positive")
+    elif scenario.max_time / scenario.dt > MAX_TICKS:
+        problems.append(f"dt = {scenario.dt!r} is too small: max_time / dt "
+                        f"exceeds {MAX_TICKS:,} ticks")
     if scenario.h_f < scenario.params.d_c_prime:
         problems.append("h_f must cover d_c + max_se")
     ts = scenario.snapshot()

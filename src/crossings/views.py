@@ -336,6 +336,9 @@ class CarFragment:
         }
 
 
+_EMPTY = CarFragment(())  # shared by every car with no node on a view
+
+
 def _merge_runs(intervals):
     out = [intervals[0]]
     for lo, hi in intervals[1:]:
@@ -357,6 +360,11 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
+    reserved_nodes, claimed_nodes = _node_occupancy(ts, cid, own, ground_truth)
+    if not any(node in vlane.placements for nodes in (reserved_nodes, claimed_nodes)
+               for node, _, _ in nodes for vlane in lanes):
+        memo[key] = (lanes, _EMPTY)
+        return _EMPTY
     a, b = view.extent
     out = []
 
@@ -371,7 +379,6 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
         if hi > lo:
             out.append((lane_idx, lo, hi, kind, span.node.is_crossing))
 
-    reserved_nodes, claimed_nodes = _node_occupancy(ts, cid, own, ground_truth)
     for kind, nodes in ((Kind.RESERVED, reserved_nodes), (Kind.CLAIMED, claimed_nodes)):
         for node, lo, hi in nodes:
             for lane_idx, vlane in enumerate(lanes):
@@ -386,6 +393,50 @@ def car_fragments(ts: TrafficSnapshot, view: View, ground_truth: bool = False):
     """{car id: CarFragment} for every car, in car id order."""
     return {cid: car_fragment(ts, cid, view, ground_truth)
             for cid in sorted(ts.cars)}
+
+
+# Broad phase.  _lay_forward and _lay_backward lay distinct nodes end to end
+# on a virtual lane, so two cars' runs on one lane can overlap by more than
+# EPS only where both cars occupy one node.  The checks in `formulas`
+# therefore project only the cars that pass the node-local test below.  Its
+# tolerance is far above EPS, so that two runs joined across an EPS-wide gap
+# by _merge_runs (or logic._merge) still count as meeting on a node.
+# Entries on crossing nodes always cover the whole node, as car_fragment
+# projects them, so two cars on one crossing node always meet.
+NODE_TOL = 1e-6
+
+
+def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
+                   ground_truth: bool = False):
+    """(reserved, claimed) node-local entries (node, lo, hi) of one car, as
+    car_fragment projects them onto a view owned by ``owner``."""
+    return _node_occupancy(ts, cid, not ground_truth and cid == owner,
+                           ground_truth)
+
+
+def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
+                 ground_truth: bool = False, claims: bool = False) -> list:
+    """Ids, in id order, of the cars whose reserved entries (with ``claims``,
+    also their claimed ones) meet the node-local ``entries`` on some node.
+
+    Every car whose projection can overlap the entries' projection on a
+    view owned by ``owner`` is listed; see the broad-phase note above.
+    """
+    if not entries:
+        return []
+    index: dict = {}
+    for node, lo, hi in entries:
+        index.setdefault(node, []).append((lo, hi))
+    out = []
+    for cid in sorted(ts.cars):
+        reserved, claimed = node_occupancy(ts, cid, owner, ground_truth)
+        for node, lo, hi in (reserved + claimed if claims else reserved):
+            near = index.get(node)
+            if near and any(lo < b + NODE_TOL and a < hi + NODE_TOL
+                            for a, b in near):
+                out.append(cid)
+                break
+    return out
 
 
 def project_occupancy(ts: TrafficSnapshot, view: View,

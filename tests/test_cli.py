@@ -84,6 +84,11 @@ class TestMalformedScenario:
         assert code == 2
         assert "max_time must be finite" in err
 
+    def test_tiny_dt(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "dt = 0.05", "dt = 1e-300")
+        assert code == 2
+        assert "dt = 1e-300 is too small" in err
+
     def test_nan_speed(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=nan")
         assert code == 2
