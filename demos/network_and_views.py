@@ -5,9 +5,10 @@ structure and coarse graph, then places a car before the crossing and
 shows what its multi-view windows contain.
 """
 
-from crossings import build_multiview, project_occupancy
+from crossings import build_multiview
 from crossings.network import NodeId
 from crossings.scenario import load_scenario
+from crossings.views import car_fragment
 
 scenario = load_scenario("left-turn")
 topo = scenario.topo
@@ -35,8 +36,8 @@ for i, view in enumerate(mv.views):
     print(f"view {i} -> {view.target}")
     print("   along:", " ".join(str(n) for n in fwd.nodes))
     print("  facing:", " ".join(str(n) for n in bwd.nodes))
-    for occ in project_occupancy(ts, view):
-        side = "along " if occ.lane == 0 else "facing"
-        flag = " (crossing cell)" if occ.crossing else ""
-        print(f"    {side} [{occ.lo:7.2f}, {occ.hi:7.2f}] "
-              f"{occ.kind.name.lower():8} {occ.car}{flag}")
+    for cid in ts.car_ids():
+        for lane_idx, lo, hi, kind, crossing in car_fragment(ts, cid, view).intervals:
+            side = "along " if lane_idx == 0 else "facing"
+            flag = " (crossing cell)" if crossing else ""
+            print(f"    {side} [{lo:7.2f}, {hi:7.2f}] {kind.name.lower():8} {cid}{flag}")

@@ -30,11 +30,9 @@ from .snapshot import (
 )
 from .views import (
     MultiView,
-    OccupancyInterval,
     View,
     VirtualLane,
     build_multiview,
-    project_occupancy,
     twist,
     virtual_lanes,
 )

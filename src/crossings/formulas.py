@@ -35,7 +35,6 @@ from .logic import (
     TRUE,
     _context,
     _intersects_open,
-    _merge,
     ands,
     chops,
     ors,
@@ -50,6 +49,7 @@ from .views import (
     View,
     car_fragment,
     cars_meeting,
+    merge_runs,
     node_occupancy,
 )
 
@@ -197,15 +197,6 @@ def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
     return False
 
 
-def geom_col_pair(ctx: EvalContext, a: str, b: str) -> bool:
-    if a == b:
-        return False
-    for lane in (0, 1):
-        if _overlap_pos(_res(ctx, lane, a), _res(ctx, lane, b)):
-            return True
-    return False
-
-
 def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
     return _overlap_pos(*_frag_res(ts, view, car))
 
@@ -236,7 +227,7 @@ def _occupied(ts: TrafficSnapshot, view: View, lane: int, lo: float, hi: float):
         merged = car_fragment(ts, c, view).merged
         runs.extend(merged.get((lane, Kind.RESERVED), ()))
         runs.extend(merged.get((lane, Kind.CLAIMED), ()))
-    return _merge(runs)
+    return merge_runs(runs)
 
 
 def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:

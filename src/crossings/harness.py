@@ -86,35 +86,18 @@ class Simulation:
         self.verdict = Verdict()
         self.time = 0.0
         self.tick = 0
-        self._mv_cache: dict = {}
         self._stall: dict = {cid: 0.0 for cid in scenario.cars}
         self._last_pos: dict = {}
-        self._monitor_safe: dict = {}
-        self._env_cache: dict = {}
 
     # -- views ---------------------------------------------------------------
 
     def _mv(self, cid):
-        # a car's multi-view depends on its own position only, never on
-        # claims, so it survives the intra-tick snapshot versions
-        s = self.ts.cars[cid]
-        hit = self._mv_cache.get(cid)
-        if hit is not None and hit[0] is s.path and hit[1] == s.curr \
-                and hit[2] == s.pos:
-            return hit[3]
-        mv = build_multiview(
+        return build_multiview(
             self.topo, self.ts, cid, self.scenario.h_b, self.scenario.h_f
         )
-        self._mv_cache[cid] = (s.path, s.curr, s.pos, mv)
-        return mv
 
     def env_for(self, inst: ControllerInstance) -> GuardEnv:
-        # clocks and data are live references, so an env stays valid for the
-        # lifetime of one snapshot version
-        hit = self._env_cache.get(inst.uid)
-        if hit is not None and hit[0] is self.ts:
-            return hit[1]
-        env = GuardEnv(
+        return GuardEnv(
             ts=self.ts,
             mv=self._mv(inst.car),
             clocks=inst.clocks,
@@ -122,8 +105,6 @@ class Simulation:
             params=self.params,
             car=inst.car,
         )
-        self._env_cache[inst.uid] = (self.ts, env)
-        return env
 
     # -- events ----------------------------------------------------------------
 
@@ -255,16 +236,19 @@ class Simulation:
         for inst in self.instances:
             if inst.car not in self.ts.cars:
                 continue
+            env = self.env_for(inst)
             # a car the ground-truth monitor just cleared cannot register a
             # sensor-level overlap either (sensor extents are subsets), so
-            # the resting state's no-collision invariant holds for free
+            # the resting state's no-collision invariant holds for free; the
+            # monitor's verdict on this snapshot is still in its store
             if (
                 inst.defn.name == "crossing"
                 and inst.state == "q0"
-                and self._monitor_safe.get(inst.car)
+                and inst.car in self.scenario.monitored
+                and col_witness(self.ts, env.mv, inst.car, ground_truth=True) is None
             ):
                 continue
-            if not inst.invariant_ok(self.env_for(inst)):
+            if not inst.invariant_ok(env):
                 self.emit(
                     "Violation",
                     ("kind", "invariant"),
@@ -274,12 +258,10 @@ class Simulation:
                 )
 
     def monitor(self) -> None:
-        self._monitor_safe = {}
         for cid in self.scenario.monitored:
             if cid not in self.ts.cars:
                 continue
             hit = col_witness(self.ts, self._mv(cid), cid, ground_truth=True)
-            self._monitor_safe[cid] = hit is None
             safe = hit is None
             self.emit("SafetyVerdict", ("car", cid), ("safe", str(safe).lower()))
             if not safe and self.verdict.safe:

@@ -8,9 +8,11 @@ Satisfaction is checked against (snapshot, view, valuation).
 The evaluator searches chop points over a finite candidate set: occupancy
 interval endpoints, crossing-span boundaries, the slice endpoints, points at
 every length-comparison constant's distance from those, and midpoints of
-consecutive candidates.  Atom truth only changes at such points, so the
-search is exhaustive; the test suite pits it against a dense-grid brute
-force.
+consecutive candidates.  Atom truth only changes at such points.  The
+length-constant shifts are capped, though: ``_Eval.chop_points`` adds them
+for at most ``min(chop depth, 3)`` rounds and stops adding once a slice has
+more than 1,500 points, so the search is exhaustive only within those caps.
+The test suite pits it against a dense-grid brute force.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from .snapshot import TrafficSnapshot
-from .views import Kind, MultiView, View, car_fragments
-
-EPS = 1e-9
+from .views import EPS, Kind, MultiView, View, car_fragments, merge_runs
 
 
 class LogicError(ValueError):
@@ -180,8 +180,7 @@ class EvalContext:
                 self.by_key[(lane_idx, kind, cid)] = runs
                 raw_any[lane_idx].extend(runs)
         for lane_idx, ivs in raw_any.items():
-            ivs.sort()
-            self.any_occ[lane_idx] = ivs if len(ivs) <= 1 else _merge(ivs)
+            self.any_occ[lane_idx] = merge_runs(ivs)
         self.crossing_span = {i: view.crossing_span(i) for i in (0, 1)}
         self._base_points = None
 
@@ -200,17 +199,6 @@ class EvalContext:
                     base.add(span[1])
             self._base_points = _dedupe(sorted(base))
         return self._base_points
-
-
-def _merge(intervals):
-    intervals = sorted(intervals)
-    out = []
-    for lo, hi in intervals:
-        if out and lo <= out[-1][1] + EPS:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
 
 
 def _dedupe(values):

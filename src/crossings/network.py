@@ -295,6 +295,9 @@ class Topology:
             for n in inter.segments:
                 self.intersection_of[n] = inter
         self.coarse = self._coarsen()
+        # what is derived from the topology alone (the virtual lane pairs
+        # that `views` builds per ego path position) lives and dies with it
+        self.cache: dict = {}
 
     def _coarsen(self) -> CoarseNetwork:
         edges = set()

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 
-from .network import NodeId
+from .network import NodeId, Topology
 from .params import ProtocolParams
 from .scenario import Scenario, parse_scenario
 from .snapshot import CarState, braking_distance
-from .network import Topology, UrbanRoadNetwork, cs, lane
 
 ENTRY_LANES = (7, 1, 3, 5)
 
@@ -62,23 +61,7 @@ intersection cr = c0 c1 c2 c3
 
 
 def demo_topology() -> Topology:
-    weights = {lane(i): 150.0 for i in range(8)}
-    weights.update({cs(i): 5.0 for i in range(4)})
-    directed = [
-        (lane(7), cs(0)), (lane(1), cs(1)), (lane(3), cs(2)), (lane(5), cs(3)),
-        (cs(0), lane(0)), (cs(1), lane(2)), (cs(2), lane(4)), (cs(3), lane(6)),
-        (cs(0), cs(1)), (cs(1), cs(2)), (cs(2), cs(3)), (cs(3), cs(0)),
-    ]
-    undirected = [(lane(6), lane(7)), (lane(0), lane(1)),
-                  (lane(2), lane(3)), (lane(4), lane(5))]
-    net = UrbanRoadNetwork(weights, directed, undirected)
-    names = {
-        "r0": frozenset({lane(6), lane(7)}),
-        "r1": frozenset({lane(0), lane(1)}),
-        "r2": frozenset({lane(2), lane(3)}),
-        "r3": frozenset({lane(4), lane(5)}),
-    }
-    return Topology(net, names, {"cr": frozenset(cs(i) for i in range(4))})
+    return parse_scenario(NETWORK_TEXT, name="demo").topo
 
 
 def sweep_scenario_text(seed: int) -> str:

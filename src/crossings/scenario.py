@@ -15,7 +15,9 @@ Line-oriented sectioned text, diff-friendly:
 
 Car fields: path (required), pos, speed, size, braking (defaults to
 speed^2 / (2 b_max)), node (path element the rear is on), heading, res, clm,
-cres, cclm, controllers (road,crossing,helper or none), monitor.
+cres, cclm, controllers (road,crossing,helper or none), monitor (true or
+false, default true: whether the safety monitor judges the car).  Unknown
+or repeated parameters and unknown car fields are errors.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .snapshot import (
 from .views import build_multiview
 
 CONTROLLER_KINDS = ("road", "crossing", "helper")
+CAR_FIELDS = ("path", "pos", "speed", "size", "braking", "node", "heading",
+              "res", "clm", "cres", "cclm", "controllers", "monitor")
 MAX_TICKS = 1_000_000  # the bundled scenarios need at most 2,400
 
 
@@ -153,7 +157,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if "=" not in line:
                 _err(line_no, f"bad parameter line {line!r}")
             key, _, value = line.partition("=")
-            raw_params[key.strip()] = (line_no, value.strip())
+            key = key.strip()
+            if key in raw_params:
+                _err(line_no, f"repeated parameter {key!r} "
+                              f"(first on line {raw_params[key][0]})")
+            raw_params[key] = (line_no, value.strip())
         else:
             _err(line_no, f"content before any section: {line!r}")
 
@@ -166,7 +174,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     def param(key, default, cast=float):
         if key not in raw_params:
             return default
-        line_no, value = raw_params[key]
+        line_no, value = raw_params.pop(key)
         try:
             out = cast(value)
         except ValueError:
@@ -198,8 +206,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         budget=param("budget", 1, int),
         fuel=param("fuel", 64, int),
     )
+    for key, (line_no, _) in raw_params.items():  # read by no param() above
+        _err(line_no, f"unknown parameter {key!r}")
 
-    monitor_all = param("monitor", "all", str) == "all"
     for line_no, line in car_lines:
         tokens = line.split()
         cid = tokens[1]
@@ -210,6 +219,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if "=" not in token:
                 _err(line_no, f"bad car field {token!r}")
             key, _, value = token.partition("=")
+            if key not in CAR_FIELDS:
+                _err(line_no, f"unknown car field {key!r}")
             fields[key] = value
         if "path" not in fields:
             _err(line_no, f"car {cid} needs a path")
@@ -254,7 +265,10 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if kind not in CONTROLLER_KINDS:
                 _err(line_no, f"unknown controller kind {kind!r}")
         scenario.equipped[cid] = kinds
-        if monitor_all or fields.get("monitor", "true").lower() != "false":
+        monitor = fields.get("monitor", "true")
+        if monitor not in ("true", "false"):
+            _err(line_no, f"car {cid}: monitor must be true or false, got {monitor!r}")
+        if monitor == "true":
             scenario.monitored.append(cid)
 
     problems = validate_scenario(scenario)

@@ -51,9 +51,10 @@ class TrafficSnapshot:
     """The cars on a network, plus what is derived from them.
 
     The snapshot owns everything computed from it and drops it with itself.
-    ``car_cache`` holds, per car id, the projections of that car alone
-    (occupancy, view fragments), which depend only on its own state and the
-    network; ``with_car`` hands them on for every car it leaves untouched.
+    ``car_cache`` holds, per car id, what is derived from that car alone
+    (its multi-view, occupancy and view fragments), which depends only on its
+    own state and the network; ``with_car`` hands it on for every car it
+    leaves untouched.
     ``cache`` holds what reads every car (evaluation contexts per view,
     guard verdicts per multi-view) and starts empty in every new snapshot.
     Entries keyed on an object's ``id()`` hold that object, so the id stays

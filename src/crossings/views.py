@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
 from typing import Optional
 
 from .network import NodeId, Topology, shortest_directed_path
 from .snapshot import PathExhausted, TrafficSnapshot, physical_extent, safety_envelope
+
+EPS = 1e-9  # interval ends closer than this count as touching
 
 
 class Orientation(Enum):
@@ -80,16 +81,6 @@ class View:
 class MultiView:
     owner: str
     views: tuple[View, ...]
-
-
-@dataclass(slots=True)
-class OccupancyInterval:
-    lane: int
-    lo: float
-    hi: float
-    car: str
-    kind: Kind
-    crossing: bool = False
 
 
 @dataclass(frozen=True)
@@ -194,12 +185,25 @@ def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
     return _own_path_pair(topo, s.path, anchor_idx, s.curr)
 
 
-# Lane geometry depends only on the topology and the ego path (anchor,
-# current node, intersection), never on car positions, so the pair builders
-# are memoized: a car's pairs are built once per path position, not per tick.
+def _on_topology(build):
+    """Keep a lane-pair builder's results in the topology's store.
+
+    Lane geometry depends only on the topology and the ego path (anchor,
+    current node, intersection), never on car positions, so a car's pairs
+    are built once per path position, not per tick, and go with the topology.
+    """
+
+    def memoized(topo, *args):
+        key = (build, *args)
+        hit = topo.cache.get(key)
+        if hit is None:
+            hit = topo.cache[key] = build(topo, *args)
+        return hit
+
+    return memoized
 
 
-@lru_cache(maxsize=512)
+@_on_topology
 def _straight_pair(topo, anchor):
     net = topo.net
     partner = net.lane_partner(anchor)
@@ -210,7 +214,7 @@ def _straight_pair(topo, anchor):
     return (LanePair(fwd, bwd, topo.segment_of[anchor].id),)
 
 
-@lru_cache(maxsize=512)
+@_on_topology
 def _own_path_pair(topo, path, anchor_idx, curr):
     net = topo.net
     anchor = path[anchor_idx]
@@ -229,7 +233,7 @@ def _own_path_pair(topo, path, anchor_idx, curr):
     return (LanePair(fwd, bwd, topo.segment_of[exit_lane].id),)
 
 
-@lru_cache(maxsize=512)
+@_on_topology
 def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
     net = topo.net
     anchor = path[anchor_idx]
@@ -268,16 +272,26 @@ def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
 
 def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
                     h_b: float, h_f: float) -> MultiView:
-    """One view per virtual lane pair, all sharing X = [pos - h_b, pos + h_f]."""
+    """One view per virtual lane pair, all sharing X = [pos - h_b, pos + h_f].
+
+    The multi-view depends on the car's own state alone, so it is kept in
+    the snapshot's per-car store.
+    """
     if not (h_b > 0 and h_f > 0):
         raise ValueError("horizons must be positive")
+    memo = ts.car_cache.setdefault(e, {})
+    key = ("mv", topo, h_b, h_f)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     s = ts.cars[e]
     extent = (s.pos - h_b, s.pos + h_f)
     views = tuple(
         View(owner=e, lanes=(p.forward, p.backward), extent=extent, target=p.target)
         for p in virtual_lanes(topo, ts, e, h_f=h_f, h_b=h_b)
     )
-    return MultiView(e, views)
+    mv = memo[key] = MultiView(e, views)
+    return mv
 
 
 def _extent_entries(ts, owner, cid, ground_truth):
@@ -331,7 +345,7 @@ class CarFragment:
         for lane_idx, lo, hi, kind, _crossing in intervals:
             grouped.setdefault((lane_idx, kind), []).append((lo, hi))
         self.merged = {
-            key: ivs if len(ivs) == 1 else _merge_runs(sorted(ivs))
+            key: ivs if len(ivs) == 1 else merge_runs(ivs)
             for key, ivs in grouped.items()
         }
 
@@ -339,10 +353,12 @@ class CarFragment:
 _EMPTY = CarFragment(())  # shared by every car with no node on a view
 
 
-def _merge_runs(intervals):
-    out = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1] + 1e-9:
+def merge_runs(intervals):
+    """The intervals sorted, with those that overlap or touch within EPS
+    joined into one run."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + EPS:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
@@ -351,8 +367,19 @@ def _merge_runs(intervals):
 
 def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
                  ground_truth: bool = False) -> CarFragment:
-    """One car's projected occupancy on a view, kept in the snapshot's
-    per-car store."""
+    """One car's projected occupancy on a view, clipped to X, kept in the
+    snapshot's per-car store.
+
+    Reserved space is the car's extent: the full safety envelope for the
+    view owner, sensor-perceived physical size for the others.  The owner
+    additionally projects the full spans of its own reserved crossing
+    segments (a reserved cell is owned whole, and the car knows its own
+    books), which is what keeps its on-crossing invariant true for the whole
+    manoeuvre.  Claims project over the claimed nodes' full spans.  In
+    ground-truth mode (the safety monitor's view of the world) every car
+    contributes its full envelope and nothing else: the monitor judges
+    worst-case physical space, not bookkeeping.
+    """
     own = not ground_truth and cid == view.owner
     memo = ts.car_cache.setdefault(cid, {})
     lanes = view.lanes
@@ -400,7 +427,7 @@ def car_fragments(ts: TrafficSnapshot, view: View, ground_truth: bool = False):
 # EPS only where both cars occupy one node.  The checks in `formulas`
 # therefore project only the cars that pass the node-local test below.  Its
 # tolerance is far above EPS, so that two runs joined across an EPS-wide gap
-# by _merge_runs (or logic._merge) still count as meeting on a node.
+# by merge_runs still count as meeting on a node.
 # Entries on crossing nodes always cover the whole node, as car_fragment
 # projects them, so two cars on one crossing node always meet.
 NODE_TOL = 1e-6
@@ -436,29 +463,6 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
                             for a, b in near):
                 out.append(cid)
                 break
-    return out
-
-
-def project_occupancy(ts: TrafficSnapshot, view: View,
-                      ground_truth: bool = False) -> list[OccupancyInterval]:
-    """Occupancy of every car on the view's virtual lanes, clipped to X.
-
-    Reserved space is the car's extent: the full safety envelope for the
-    view owner, sensor-perceived physical size for the others.  The owner
-    additionally projects the full spans of its own reserved crossing
-    segments (a reserved cell is owned whole, and the car knows its own
-    books), which is what keeps its on-crossing invariant true for the whole
-    manoeuvre.  Claims project over the claimed nodes' full spans.  In
-    ground-truth mode (the safety monitor's view of the world) every car
-    contributes its full envelope and nothing else: the monitor judges
-    worst-case physical space, not bookkeeping.
-    """
-    out = []
-    for cid in sorted(ts.cars):
-        for lane_idx, lo, hi, kind, crossing in car_fragment(
-            ts, cid, view, ground_truth
-        ).intervals:
-            out.append(OccupancyInterval(lane_idx, lo, hi, cid, kind, crossing))
     return out
 
 

@@ -149,6 +149,7 @@ def _sweep_worker(seed):
     return seed, sim.verdict.safe, ok_sane
 
 
+@pytest.mark.slow
 def test_criterion_4_and_5_safety_sweep_with_negative_control():
     started = time.time()
     with multiprocessing.Pool(2) as pool:

@@ -89,6 +89,29 @@ class TestMalformedScenario:
         assert code == 2
         assert "dt = 1e-300 is too small" in err
 
+    def test_unknown_parameter(self, tmp_path, capsys):
+        for key in ("d_C = 30", "monitor = all"):
+            code, err = self.run_edited(tmp_path, capsys, "max_time = 12",
+                                        f"max_time = 12\n{key}")
+            assert code == 2
+            assert f"unknown parameter {key.split()[0]!r}" in err and "line 40" in err
+
+    def test_repeated_parameter(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "max_time = 12",
+                                    "max_time = 12\nmax_time = 3")
+        assert code == 2
+        assert "repeated parameter 'max_time'" in err and "line 40" in err
+
+    def test_unknown_car_field(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "speed=10", "sped=10")
+        assert code == 2
+        assert "unknown car field 'sped'" in err and "line 36" in err
+
+    def test_bad_monitor_value(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "size=4", "size=4 monitor=nope")
+        assert code == 2
+        assert "monitor must be true or false" in err and "line 36" in err
+
     def test_nan_speed(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=nan")
         assert code == 2

@@ -11,7 +11,6 @@ from crossings.formulas import (
     col_formula,
     col_witness,
     geom_ca,
-    geom_col_pair,
     geom_lc,
     geom_oc,
     geom_pc,
@@ -38,7 +37,7 @@ from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
 from crossings.randomgen import negative_scenario, sweep_scenario
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import Kind, build_multiview
+from crossings.views import Kind, MultiView, build_multiview
 
 from conftest import make_car
 from gridgen import _TOPO, H_B, H_F, random_scene
@@ -71,7 +70,7 @@ class TestEquivalence:
                     ts, view, nu, pc_formula(c)
                 ), ("pc", c)
                 if c != "E":
-                    assert geom_col_pair(ctx, "E", c) == eval_formula(
+                    assert _col_pair(ctx, "E", c) == eval_formula(
                         ts, view, nu, _pair_col(c)
                     ), ("col", c)
                 assert geom_ph(ts, view, "E", c, PARAMS) == eval_formula(
@@ -93,12 +92,19 @@ class TestEquivalence:
         rng = random.Random(13)
         for _ in range(40):
             ts, view = random_scene(rng)
-            ctx = EvalContext(ts, view)
             nu = default_valuation(ts, "E")
-            direct = any(geom_col_pair(ctx, "E", c) for c in ts.cars)
+            direct = col_witness(ts, MultiView("E", (view,)), "E") is not None
             assert direct == eval_formula(ts, view, nu, col_formula())
             assert direct != eval_formula(ts, view, nu, safe_formula()) or \
                 len(ts.cars) == 1
+
+
+def _col_pair(ctx, a, b):
+    """Do the reservations of cars a and b overlap on one lane of the view?"""
+    return a != b and any(
+        _overlap_pos(ctx.by_key.get((lane, Kind.RESERVED, a), []),
+                     ctx.by_key.get((lane, Kind.RESERVED, b), []))
+        for lane in (0, 1))
 
 
 def _pair_col(c):

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from importlib import resources
 
 import pytest
 
@@ -141,6 +144,15 @@ class TestMonitor:
             verdict, _ = run(negative_scenario(seed))
             assert not verdict.safe, seed
 
+    def test_per_car_switch_alone_decides_monitoring(self):
+        text = resources.files("crossings").joinpath(
+            "scenarios", "lone-left-turn.scn").read_text()
+        scenario = parse_scenario(text.replace("size=4", "size=4 monitor=false"))
+        assert scenario.monitored == []
+        _, events = run(scenario, max_ticks=5)
+        assert not any(ev.kind == "SafetyVerdict" for ev in events)
+        assert parse_scenario(text).monitored == ["E"]
+
     def test_sweep_sample_is_safe_and_sane(self):
         for seed in (0, 1, 2, 3):
             scenario = sweep_scenario(seed)
@@ -197,6 +209,15 @@ class TestRunIsolation:
         run(load_scenario("left-turn"), max_ticks=40)  # another run between
         assert rendered(run(scenario)[1]) == first
         assert rendered(run(sweep_scenario(9))[1]) == first
+
+    def test_finished_run_leaves_its_topology_collectable(self):
+        # derived lane geometry lives on the topology, not in the process
+        scenario = sweep_scenario(4)
+        topo = weakref.ref(scenario.topo)
+        run(scenario, max_ticks=20)
+        del scenario
+        gc.collect()
+        assert topo() is None
 
 
 class TestTraceWellformedness:

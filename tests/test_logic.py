@@ -270,6 +270,7 @@ class TestInvert:
 
 
 class TestChopLaws:
+    @pytest.mark.slow
     def test_associativity(self, busy, busy_mv):
         rng = random.Random(4)
         nu = default_valuation(busy, "E")

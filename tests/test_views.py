@@ -1,14 +1,15 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
 from crossings.network import NodeId, Topology, UrbanRoadNetwork, cs, lane
-from crossings.snapshot import TrafficSnapshot
+from crossings.snapshot import TrafficSnapshot, evolve
 from crossings.views import (
     Kind,
     Orientation,
     build_multiview,
-    project_occupancy,
+    car_fragment,
     twist,
     virtual_lanes,
 )
@@ -18,6 +19,23 @@ from conftest import make_car
 
 def path(*names):
     return tuple(NodeId.parse(n) for n in names)
+
+
+class Occ(NamedTuple):
+    lane: int
+    lo: float
+    hi: float
+    car: str
+    kind: Kind
+    crossing: bool
+
+
+def project_occupancy(ts, view, ground_truth=False):
+    """Every car's projected intervals on the view, in car id order."""
+    return [Occ(lane_idx, lo, hi, cid, kind, crossing)
+            for cid in sorted(ts.cars)
+            for lane_idx, lo, hi, kind, crossing
+            in car_fragment(ts, cid, view, ground_truth).intervals]
 
 
 @pytest.fixture
@@ -77,6 +95,21 @@ class TestVirtualLanes:
                 )
                 pairs = virtual_lanes(topo, ts, "E")
                 assert len(pairs) == len(topo.pre_segments("cr")) - 1
+
+    def test_multiview_kept_per_snapshot_car_and_horizons(self, topo, ego_ts):
+        mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
+        assert build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0) is mv
+        assert build_multiview(topo, ego_ts, "E", h_b=40.0, h_f=150.0) is not mv
+        other = ego_ts.with_car("B", make_car(path("1", "c1", "2"), 20.0))
+        assert build_multiview(topo, other, "E", h_b=50.0, h_f=150.0) is mv
+
+    def test_multiview_rebuilt_for_a_replaced_car(self, topo, ego_ts):
+        mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
+        for ts in (ego_ts.with_car("E", ego_ts.cars["E"]), evolve(ego_ts, 0.1)):
+            again = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
+            assert again is not mv
+            # the lane pairs come from the topology's store
+            assert all(a is b for a, b in zip(again.views[0].lanes, mv.views[0].lanes))
 
     def test_multiview_shares_extent(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
