@@ -5,7 +5,9 @@ variables; guards are predicates over (snapshot, multi-view, clocks, data),
 invariants annotate states, transitions optionally carry an input binding,
 output messages, controller actions on the traffic snapshot and variable
 updates.  Instances are stepped by the scheduler; all cross-instance effects
-flow through broadcast messages and snapshot actions.
+flow through broadcast messages and snapshot actions.  An action edge (one
+without an input) fires at most once per tick; input edges fire once per
+accepted message.
 """
 
 from __future__ import annotations
@@ -153,7 +155,6 @@ class ControllerDefinition:
 
 @dataclass
 class FireResult:
-    transition: Transition
     messages: list
     actions: list
 
@@ -166,7 +167,7 @@ class ControllerInstance:
         self.state = defn.initial
         self.clocks = {c: 0.0 for c in defn.clocks}
         self.data = dict(defn.data0)
-        self.fired_this_tick: dict = {}
+        self.fired_this_tick: set = set()  # ids of action edges fired this tick
 
     @property
     def uid(self) -> str:
@@ -198,19 +199,17 @@ class ControllerInstance:
                 return False
         return True
 
-    def enabled_transition(self, env: GuardEnv, edge_budget: int = 0) -> Optional[Transition]:
+    def enabled_transition(self, env: GuardEnv) -> Optional[Transition]:
         """First declared action transition whose guard holds right now.
 
-        With a positive ``edge_budget``, an edge that already fired that many
-        times this tick rests until the next one.  A full claim/withdraw
-        probe cycle always completes within the tick, so no transient claim
-        dangles across an observation point (it would trip the waiting
-        cars' no-potential-collision invariants).
+        An edge that already fired this tick rests until the scheduler clears
+        ``fired_this_tick`` at the next one.  A full claim/withdraw probe
+        cycle still completes within the tick, so no transient claim dangles
+        across an observation point (it would trip the waiting cars'
+        no-potential-collision invariants).
         """
         for t in self.defn.from_state(self.state):
-            if t.input is not None:
-                continue
-            if edge_budget and self.fired_this_tick.get(id(t), 0) >= edge_budget:
+            if t.input is not None or id(t) in self.fired_this_tick:
                 continue
             if t.guard is not None and not t.guard.holds(env):
                 continue
@@ -232,10 +231,10 @@ class ControllerInstance:
                 return t, bindings
         return None
 
-    def fire(self, t: Transition, env: GuardEnv, now: float) -> FireResult:
+    def fire(self, t: Transition, env: GuardEnv) -> FireResult:
         """Apply a transition: emit outputs/actions, run updates, move state."""
         messages = [
-            Message(out.channel, tuple(out.payload(env)), self.car, now)
+            Message(out.channel, tuple(out.payload(env)), self.car)
             for out in t.outputs
         ]
         actions = [a for a in (spec.make(env) for spec in t.actions) if a is not None]
@@ -245,7 +244,6 @@ class ControllerInstance:
             self.clocks[clock] = 0.0
         self.state = t.target
         if t.input is None:
-            # only self-driven firing counts against the per-tick budget;
-            # input firing is already bounded by the message volume
-            self.fired_this_tick[id(t)] = self.fired_this_tick.get(id(t), 0) + 1
-        return FireResult(t, messages, actions)
+            # input firing is bounded by the message volume instead
+            self.fired_this_tick.add(id(t))
+        return FireResult(messages, actions)

@@ -2,7 +2,8 @@
 
 An output never blocks the sender; it reaches exactly those receivers whose
 guard accepts the bound payload.  Messages are not persisted: whoever is not
-listening at send time never sees them.
+listening at send time never sees them.  A channel is a name and the number
+of values its messages carry; a message is its channel, payload and sender.
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ class CommError(ValueError):
 
 
 @dataclass(frozen=True)
-class Channel:
-    name: str
-    arity: int
-
-
-@dataclass(frozen=True)
 class Message:
     channel: str
     payload: tuple
     sender: str
-    sent_at: float = 0.0
 
 
 @dataclass
@@ -40,25 +34,22 @@ class Listener:
 
 @dataclass
 class Bus:
-    channels: dict = field(default_factory=dict)
+    channels: dict = field(default_factory=dict)  # name -> arity
 
-    def declare_channel(self, name: str, arity: int) -> Channel:
+    def declare_channel(self, name: str, arity: int) -> None:
         if name in self.channels:
             raise CommError(f"channel {name!r} already declared")
-        ch = Channel(name, arity)
-        self.channels[name] = ch
-        return ch
+        self.channels[name] = arity
 
-    def check(self, msg: Message) -> Channel:
-        ch = self.channels.get(msg.channel)
-        if ch is None:
+    def check(self, msg: Message) -> None:
+        arity = self.channels.get(msg.channel)
+        if arity is None:
             raise CommError(f"unknown channel {msg.channel!r}")
-        if len(msg.payload) != ch.arity:
+        if len(msg.payload) != arity:
             raise CommError(
-                f"channel {msg.channel!r} carries {ch.arity} values, "
+                f"channel {msg.channel!r} carries {arity} values, "
                 f"got {len(msg.payload)}"
             )
-        return ch
 
     def broadcast(self, msg: Message, listeners) -> list:
         """Offer the message to the listeners; returns (uid, accepted) pairs.

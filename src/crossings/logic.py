@@ -165,10 +165,10 @@ def default_valuation(ts: TrafficSnapshot, ego: str) -> dict:
 class EvalContext:
     """Occupancy of one view digested for the evaluator."""
 
-    def __init__(self, ts: TrafficSnapshot, view: View, ground_truth: bool = False):
+    def __init__(self, ts: TrafficSnapshot, view: View):
         self.view = view
         self.extent = view.extent
-        frags = car_fragments(ts, view, ground_truth)
+        frags = car_fragments(ts, view)
         self.car_ids = list(frags)
         self.heading = {cid: ts.cars[cid].heading_with_lane for cid in ts.cars}
         self.visible = {cid for cid, f in frags.items() if f.intervals}
@@ -377,13 +377,13 @@ class _Eval:
         raise LogicError(f"cannot evaluate node {type(f).__name__}")
 
 
-def _context(ts: TrafficSnapshot, view: View, ground_truth: bool = False) -> EvalContext:
+def _context(ts: TrafficSnapshot, view: View) -> EvalContext:
     """The view's evaluation context, built once per snapshot."""
-    key = ("ctx", id(view), ground_truth)
+    key = ("ctx", id(view))
     hit = ts.cache.get(key)
     if hit is not None:
         return hit[1]
-    ctx = EvalContext(ts, view, ground_truth)
+    ctx = EvalContext(ts, view)
     ts.cache[key] = (view, ctx)  # the view pins the id in the key
     return ctx
 
@@ -401,27 +401,26 @@ def free_variables(f: Formula, bound: frozenset = frozenset()) -> set:
     return out
 
 
-def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula,
-                 ground_truth: bool = False) -> bool:
+def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
     """Does the formula hold on the full view under the given valuation?"""
     if "ego" not in nu:
         raise LogicError("valuation must bind 'ego'")
     unbound = free_variables(f) - set(nu)
     if unbound:
         raise LogicError(f"unbound variable {sorted(unbound)[0]!r}")
-    ctx = _context(ts, view, ground_truth)
+    ctx = _context(ts, view)
     a, b = view.extent
     return _Eval(ctx, f).run(f, nu, (), (0, 1), a, b)
 
 
 def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,
-                   mode: str = "forall", ground_truth: bool = False) -> bool:
+                   mode: str = "forall") -> bool:
     """Satisfaction over the multi-view: conjunction or disjunction per view."""
     if not mv.views:
         raise LogicError("empty multi-view")
     if mode not in ("forall", "exists"):
         raise LogicError(f"unknown mode {mode!r}")
-    results = (eval_formula(ts, v, nu, f, ground_truth) for v in mv.views)
+    results = (eval_formula(ts, v, nu, f) for v in mv.views)
     return all(results) if mode == "forall" else any(results)
 
 

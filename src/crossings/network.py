@@ -129,9 +129,6 @@ class UrbanRoadNetwork:
     def nodes(self) -> set[NodeId]:
         return set(self.weights)
 
-    def weight(self, n: NodeId) -> float:
-        return self.weights[n]
-
     def successors(self, n: NodeId) -> list[NodeId]:
         return self._succ.get(n, [])
 

@@ -14,10 +14,10 @@ Line-oriented sectioned text, diff-friendly:
     d_c = 60
 
 Car fields: path (required), pos, speed, size, braking (defaults to
-speed^2 / (2 b_max)), node (path element the rear is on), heading, res, clm,
-cres, cclm, controllers (road,crossing,helper or none), monitor (true or
-false, default true: whether the safety monitor judges the car).  Unknown
-or repeated parameters and unknown car fields are errors.
+speed^2 / (2 b_max)), node (path element the rear is on), heading (true or
+false, default true), res, clm, cres, cclm, controllers (road,crossing,helper
+or none), monitor (true or false, default true: whether the safety monitor
+judges the car).  Unknown or repeated parameters and car fields are errors.
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ class Scenario:
     h_f: float = 150.0
     dt: float = 0.05
     max_time: float = 60.0
-    b_max: float = 8.0
     patience: float = 20.0
-    budget: int = 1
-    fuel: int = 64
 
     def snapshot(self) -> TrafficSnapshot:
         return TrafficSnapshot(dict(self.cars), self.topo.net)
@@ -104,6 +101,13 @@ def _parse_nodes(line_no, text):
     if text in ("", "-"):
         return frozenset()
     return frozenset(_node(line_no, p) for p in text.split(",") if p)
+
+
+def _parse_bool(line_no, cid, fields, key):
+    value = fields.get(key, "true")
+    if value not in ("true", "false"):
+        _err(line_no, f"car {cid}: {key} must be true or false, got {value!r}")
+    return value == "true"
 
 
 def parse_scenario(text: str, name: str = "<string>") -> Scenario:
@@ -171,15 +175,15 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
-    def param(key, default, cast=float):
+    def param(key, default):
         if key not in raw_params:
             return default
         line_no, value = raw_params.pop(key)
         try:
-            out = cast(value)
+            out = float(value)
         except ValueError:
             _err(line_no, f"bad value for {key}: {value!r}")
-        return _finite(line_no, out, value, key) if cast is float else out
+        return _finite(line_no, out, value, key)
 
     params = ProtocolParams(
         d_c=param("d_c", 60.0),
@@ -201,10 +205,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         h_f=param("h_f", params.d_c + params.max_se + 50.0),
         dt=param("dt", 0.05),
         max_time=param("max_time", 60.0),
-        b_max=b_max,
         patience=param("patience", 20.0),
-        budget=param("budget", 1, int),
-        fuel=param("fuel", 64, int),
     )
     for key, (line_no, _) in raw_params.items():  # read by no param() above
         _err(line_no, f"unknown parameter {key!r}")
@@ -221,6 +222,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             key, _, value = token.partition("=")
             if key not in CAR_FIELDS:
                 _err(line_no, f"unknown car field {key!r}")
+            if key in fields:
+                _err(line_no, f"car {cid}: repeated car field {key!r}")
             fields[key] = value
         if "path" not in fields:
             _err(line_no, f"car {cid} needs a path")
@@ -252,7 +255,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             speed=speed,
             size=_parse_float(line_no, fields.get("size", "4"), "size"),
             braking=braking,
-            heading_with_lane=fields.get("heading", "true").lower() != "false",
+            heading_with_lane=_parse_bool(line_no, cid, fields, "heading"),
             clm=_parse_nodes(line_no, fields.get("clm", "")),
             res=res,
             cclm=_parse_nodes(line_no, fields.get("cclm", "")),
@@ -265,10 +268,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if kind not in CONTROLLER_KINDS:
                 _err(line_no, f"unknown controller kind {kind!r}")
         scenario.equipped[cid] = kinds
-        monitor = fields.get("monitor", "true")
-        if monitor not in ("true", "false"):
-            _err(line_no, f"car {cid}: monitor must be true or false, got {monitor!r}")
-        if monitor == "true":
+        if _parse_bool(line_no, cid, fields, "monitor"):
             scenario.monitored.append(cid)
 
     problems = validate_scenario(scenario)

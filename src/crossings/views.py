@@ -416,10 +416,10 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     return fragment
 
 
-def car_fragments(ts: TrafficSnapshot, view: View, ground_truth: bool = False):
-    """{car id: CarFragment} for every car, in car id order."""
-    return {cid: car_fragment(ts, cid, view, ground_truth)
-            for cid in sorted(ts.cars)}
+def car_fragments(ts: TrafficSnapshot, view: View):
+    """{car id: CarFragment} for every car, in car id order, as the view's
+    owner perceives them."""
+    return {cid: car_fragment(ts, cid, view) for cid in sorted(ts.cars)}
 
 
 # Broad phase.  _lay_forward and _lay_backward lay distinct nodes end to end

@@ -42,9 +42,8 @@ from crossings.views import Kind, View
 
 
 class GridOracle:
-    def __init__(self, ts: TrafficSnapshot, view: View, points: int = 1000,
-                 ground_truth: bool = False):
-        self.ctx = EvalContext(ts, view, ground_truth)
+    def __init__(self, ts: TrafficSnapshot, view: View, points: int = 1000):
+        self.ctx = EvalContext(ts, view)
         a, b = view.extent
         self.x = np.linspace(a, b, points)
         self.n = points
@@ -240,8 +239,8 @@ class GridOracle:
 
 
 def oracle_eval(ts: TrafficSnapshot, view: View, nu: dict, f: Formula,
-                points: int = 1000, ground_truth: bool = False) -> bool:
+                points: int = 1000) -> bool:
     """Evaluate ``f`` on the full view by dense-grid chop search."""
-    oracle = GridOracle(ts, view, points=points, ground_truth=ground_truth)
+    oracle = GridOracle(ts, view, points=points)
     token = tuple(sorted(nu.items()))
     return oracle.entry(f, token, (0, 1), 0, oracle.n - 1)

@@ -90,7 +90,8 @@ class TestMalformedScenario:
         assert "dt = 1e-300 is too small" in err
 
     def test_unknown_parameter(self, tmp_path, capsys):
-        for key in ("d_C = 30", "monitor = all"):
+        # budget and fuel are fixed by the engine, not set by scenarios
+        for key in ("d_C = 30", "monitor = all", "budget = 1", "fuel = 64"):
             code, err = self.run_edited(tmp_path, capsys, "max_time = 12",
                                         f"max_time = 12\n{key}")
             assert code == 2
@@ -111,6 +112,16 @@ class TestMalformedScenario:
         code, err = self.run_edited(tmp_path, capsys, "size=4", "size=4 monitor=nope")
         assert code == 2
         assert "monitor must be true or false" in err and "line 36" in err
+
+    def test_bad_heading_value(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "size=4", "size=4 heading=nope")
+        assert code == 2
+        assert "heading must be true or false, got 'nope'" in err and "line 36" in err
+
+    def test_repeated_car_field(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=10 speed=3")
+        assert code == 2
+        assert "repeated car field 'speed'" in err and "line 36" in err
 
     def test_nan_speed(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=nan")

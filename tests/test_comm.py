@@ -13,7 +13,7 @@ def make_bus():
 class TestChannels:
     def test_declare_and_redeclare(self):
         bus = make_bus()
-        assert bus.channels["cross"].arity == 2
+        assert bus.channels["cross"] == 2
         with pytest.raises(CommError, match="already declared"):
             bus.declare_channel("cross", 2)
 

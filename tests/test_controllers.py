@@ -1,6 +1,13 @@
 import pytest
 
-from crossings.automata import ControllerInstance, GuardEnv
+from crossings.automata import (
+    ControllerDefinition,
+    ControllerInstance,
+    Guard,
+    GuardEnv,
+    InputSpec,
+    Transition,
+)
 from crossings.controllers import (
     crossing_controller,
     helper_controller,
@@ -58,7 +65,7 @@ class TestCrossingController:
         env = env_for(topo, approaching, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q1", "q2")
-        result = inst.fire(t, env, now=0.0)
+        result = inst.fire(t, env)
         assert [a.kind for a in result.actions] == [ActionKind.CLAIM_CROSSING]
         assert inst.clocks["x"] == 0.0
 
@@ -101,12 +108,11 @@ class TestCrossingController:
         env = env_for(topo, ts, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q3")
-        result = inst.fire(t, env, now=0.25)
+        result = inst.fire(t, env)
         assert len(result.messages) == 1
         msg = result.messages[0]
         assert msg.channel == "cross"
         assert msg.payload == ("E", frozenset({cs(0), cs(1), cs(2)}))
-        assert msg.sent_at == 0.25
         assert inst.data["H"] == frozenset()
 
     def test_yes_collection_updates_h(self, topo, approaching):
@@ -117,7 +123,7 @@ class TestCrossingController:
         assert hit is not None
         t, bindings = hit
         assert (t.source, t.target) == ("q3", "q3")
-        inst.fire(t, env.with_bindings(bindings), now=0.1)
+        inst.fire(t, env.with_bindings(bindings))
         assert inst.data["H"] == frozenset({"D"})
         # a yes addressed to someone else is ignored
         assert inst.matching_input(Message("yes", ("B", "D"), "D"), env) is None
@@ -131,7 +137,7 @@ class TestCrossingController:
         assert hit is not None
         t, bindings = hit
         assert (t.source, t.target) == ("q3", "q1")
-        result = inst.fire(t, env.with_bindings(bindings), now=0.2)
+        result = inst.fire(t, env.with_bindings(bindings))
         assert [a.kind for a in result.actions] == [
             ActionKind.WITHDRAW_CLAIM_CROSSING
         ]
@@ -181,7 +187,7 @@ class TestCrossingController:
         env = env_for(topo, ts, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q5", "q0")
-        result = inst.fire(t, env, now=10.0)
+        result = inst.fire(t, env)
         assert [a.kind for a in result.actions] == [
             ActionKind.WITHDRAW_RESERVE_CROSSING
         ]
@@ -215,7 +221,7 @@ class TestHelperController:
         assert hit is not None
         t, bindings = hit
         assert (t.source, t.target) == ("q0", "q2")
-        inst.fire(t, env.with_bindings(bindings), now=0.0)
+        inst.fire(t, env.with_bindings(bindings))
         assert inst.data["h"] == "E"
         assert inst.data["cs_h"] == frozenset({cs(0), cs(1), cs(2)})
         assert inst.clocks["x"] == 0.0
@@ -235,12 +241,12 @@ class TestHelperController:
         msg = Message("cross", ("E", frozenset({cs(0), cs(1), cs(2)})), "E")
         t, bindings = inst.matching_input(msg, env)
         assert (t.source, t.target) == ("q0", "q1")
-        inst.fire(t, env.with_bindings(bindings), now=0.0)
+        inst.fire(t, env.with_bindings(bindings))
         assert inst.data["d"] == "E"
         # the decline state is urgent: its exit needs no guard and emits no!d
         out = inst.enabled_transition(env_for(topo, ts, inst))
         assert (out.source, out.target) == ("q1", "q0")
-        result = inst.fire(out, env_for(topo, ts, inst), now=0.0)
+        result = inst.fire(out, env_for(topo, ts, inst))
         assert [(m.channel, m.payload) for m in result.messages] == [("no", ("E",))]
 
     def test_commits_with_yes_within_t(self, topo, helper_scene):
@@ -250,7 +256,7 @@ class TestHelperController:
         env = env_for(topo, helper_scene, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q4")
-        result = inst.fire(t, env, now=0.0)
+        result = inst.fire(t, env)
         assert [(m.channel, m.payload) for m in result.messages] == [
             ("yes", ("E", "D"))
         ]
@@ -263,7 +269,7 @@ class TestHelperController:
         env = env_for(topo, helper_scene, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q0")
-        result = inst.fire(t, env, now=0.5)
+        result = inst.fire(t, env)
         assert [(m.channel, m.payload) for m in result.messages] == [("no", ("E",))]
 
     def test_third_party_conflict_is_declined_while_helping(self, topo, helper_scene):
@@ -274,9 +280,9 @@ class TestHelperController:
         msg = Message("cross", ("F", frozenset({cs(1)})), "F")
         t, bindings = inst.matching_input(msg, env)
         assert (t.source, t.target) == ("q4", "q5")
-        inst.fire(t, env.with_bindings(bindings), now=1.0)
+        inst.fire(t, env.with_bindings(bindings))
         out = inst.enabled_transition(env_for(topo, helper_scene, inst))
-        result = inst.fire(out, env_for(topo, helper_scene, inst), now=1.0)
+        result = inst.fire(out, env_for(topo, helper_scene, inst))
         assert [(m.channel, m.payload) for m in result.messages] == [("no", ("F",))]
         assert inst.state == "q4"
         assert inst.data["h"] == "E"
@@ -288,7 +294,7 @@ class TestHelperController:
         env = env_for(topo, helper_scene, inst)
         t, bindings = inst.matching_input(Message("finished", ("E",), "E"), env)
         assert (t.source, t.target) == ("q4", "q0")
-        result = inst.fire(t, env.with_bindings(bindings), now=10.0)
+        result = inst.fire(t, env.with_bindings(bindings))
         assert result.messages == []
 
     def test_ignores_requests_it_cannot_judge(self, topo):
@@ -328,12 +334,12 @@ class TestRoadStub:
         env = env_for(topo, ts, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("idle", "hold")
-        inst.fire(t, env, now=0.0)
+        inst.fire(t, env)
         assert inst.state == "hold"
         env = env_for(topo, ts, inst)
         t2 = inst.enabled_transition(env)
         assert (t2.source, t2.target) == ("hold", "hold")
-        result = inst.fire(t2, env, now=0.0)
+        result = inst.fire(t2, env)
         assert [a.kind for a in result.actions] == [ActionKind.WITHDRAW_CLAIM_LANE]
 
     def test_idle_without_claims_far_from_crossings(self, topo):
@@ -354,3 +360,53 @@ class TestRoadStub:
         inst.state = "hold"
         t = inst.enabled_transition(env_for(topo, ts, inst))
         assert (t.source, t.target) == ("hold", "idle")
+
+
+def _counter():
+    """One action self-loop and one input self-loop, both always enabled."""
+
+    def bump(var):
+        return (var, lambda env: env.data[var] + 1)
+
+    return ControllerDefinition(
+        name="counter",
+        initial="s",
+        invariants={},
+        transitions=(
+            Transition("s", "s", "count", updates=(bump("n"),)),
+            Transition("s", "s", "echo", updates=(bump("m"),),
+                       input=InputSpec("no", ("c",), Guard("true", lambda env: True))),
+        ),
+        data0={"n": 0, "m": 0},
+    )
+
+
+class TestEdgeBudget:
+    def test_fired_action_edge_rests(self, topo, approaching):
+        inst = ControllerInstance(_counter(), "E")
+        env = env_for(topo, approaching, inst)
+        t = inst.enabled_transition(env)
+        assert t.label == "count"
+        inst.fire(t, env)
+        assert inst.enabled_transition(env) is None
+
+    def test_microstep_fires_an_action_edge_once_per_tick(self):
+        sim = Simulation(load_scenario("lone-left-turn"))
+        inst = ControllerInstance(_counter(), "E")
+        sim.instances = [inst]
+        sim.microstep()
+        assert inst.data["n"] == 1  # not once per micro-step pass
+        sim.microstep()
+        assert inst.data["n"] == 2  # the next tick lets it fire again
+        assert not [ev for ev in sim.events if ev.kind == "Violation"]
+
+    def test_input_firing_does_not_count(self):
+        sim = Simulation(load_scenario("lone-left-turn"))
+        inst = ControllerInstance(_counter(), "E")
+        sim.instances = [inst]
+        for _ in range(3):
+            sim._deliver(Message("no", ("X",), "X"))
+        assert inst.data["m"] == 3
+        assert inst.fired_this_tick == set()
+        sim.microstep()
+        assert (inst.data["n"], inst.data["m"]) == (1, 3)

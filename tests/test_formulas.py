@@ -37,7 +37,7 @@ from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
 from crossings.randomgen import negative_scenario, sweep_scenario
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import Kind, MultiView, build_multiview
+from crossings.views import Kind, MultiView, build_multiview, car_fragment
 
 from conftest import make_car
 from gridgen import _TOPO, H_B, H_F, random_scene
@@ -255,14 +255,15 @@ class TestBehaviour:
 
 def _brute_col(ts, mv, ego, ground_truth):
     for idx, view in enumerate(mv.views):
-        ctx = EvalContext(ts, view, ground_truth)
+        merged = {c: car_fragment(ts, c, view, ground_truth).merged
+                  for c in sorted(ts.cars)}
         for lane_idx in (0, 1):
-            mine = ctx.by_key.get((lane_idx, Kind.RESERVED, ego))
+            mine = merged[ego].get((lane_idx, Kind.RESERVED))
             if not mine:
                 continue
-            for c in ctx.car_ids:
-                theirs = ctx.by_key.get((lane_idx, Kind.RESERVED, c), [])
-                if c != ego and _overlap_pos(mine, theirs):
+            for c, theirs in merged.items():
+                if c != ego and _overlap_pos(
+                        mine, theirs.get((lane_idx, Kind.RESERVED), [])):
                     return (c, idx)
     return None
 

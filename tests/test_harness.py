@@ -241,10 +241,10 @@ class TestTraceWellformedness:
 
         original_fire = type(sim.instances[0]).fire
 
-        def checked_fire(inst, transition, env, now):
+        def checked_fire(inst, transition, env):
             if transition.guard is not None:
                 replays.append(bool(transition.guard.holds(env)))
-            return original_fire(inst, transition, env, now)
+            return original_fire(inst, transition, env)
 
         type(sim.instances[0]).fire = checked_fire
         try:

@@ -3,7 +3,9 @@ from typing import NamedTuple
 
 import pytest
 
+from crossings.harness import run
 from crossings.network import NodeId, Topology, UrbanRoadNetwork, cs, lane
+from crossings.scenario import parse_scenario
 from crossings.snapshot import TrafficSnapshot, evolve
 from crossings.views import (
     Kind,
@@ -96,6 +98,22 @@ class TestVirtualLanes:
                 pairs = virtual_lanes(topo, ts, "E")
                 assert len(pairs) == len(topo.pre_segments("cr")) - 1
 
+    def test_own_path_window_when_no_other_road_enters(self):
+        # the exit road's partner lane 1 has no edge into c0, so r0 is the
+        # only approach and no closed pair runs through the crossing
+        scenario = parse_scenario(DEAD_END_CROSSING)
+        ts = scenario.snapshot()
+        mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
+        assert len(mv.views) == 1
+        view = mv.views[0]
+        assert view.lanes[0].nodes == path("7", "c0", "0")
+        assert view.lanes[1].nodes == path("6")
+        assert view.target == "r1"
+        assert view.crossing_span(0) == (150.0, 155.0)
+        verdict, events = run(scenario)
+        assert verdict.safe and not verdict.deadlocked_cars
+        assert not [ev for ev in events if ev.kind == "Violation"]
+
     def test_multiview_kept_per_snapshot_car_and_horizons(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
         assert build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0) is mv
@@ -115,6 +133,24 @@ class TestVirtualLanes:
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
         assert len(mv.views) == 3
         assert {v.extent for v in mv.views} == {(50.0, 250.0)}
+
+
+DEAD_END_CROSSING = """
+[network]
+lane 6 150
+lane 7 150
+lane 0 150
+lane 1 150
+cs c0 5
+pair 6 7 r0
+pair 0 1 r1
+edge 7 c0
+edge c0 0
+[cars]
+car E path=7,c0,0 pos=100 speed=10 size=4
+[params]
+max_time = 12
+"""
 
 
 def _ring_intersection(n_roads, rng):
