@@ -41,9 +41,7 @@ class GuardEnv:
 
     def cs_own(self) -> frozenset:
         """Crossing segments this car claims or reserves, from the snapshot."""
-        s = self.ts.cars.get(self.car)
-        if s is None:
-            return frozenset()
+        s = self.ts.cars[self.car]
         return s.cclm | s.cres
 
 
@@ -129,28 +127,16 @@ class ControllerDefinition:
     data0: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        by_state: dict = {}
+        edges: dict = {}
         for t in self.transitions:
-            by_state.setdefault(t.source, []).append(t)
-        object.__setattr__(
-            self, "_by_state", {k: tuple(v) for k, v in by_state.items()}
-        )
-        object.__setattr__(
-            self,
-            "_action_states",
-            frozenset(
-                state
-                for state, ts in self._by_state.items()
-                if any(t.input is None for t in ts)
-            ),
-        )
+            key = (t.source, t.input.channel if t.input else None)
+            edges.setdefault(key, []).append(t)
+        object.__setattr__(self, "_edges", {k: tuple(v) for k, v in edges.items()})
 
-    def from_state(self, state: str):
-        return self._by_state.get(state, ())
-
-    def has_action_from(self, state: str) -> bool:
-        """False for states that only wait for messages (nothing to scan)."""
-        return state in self._action_states
+    def edges(self, state: str, channel: Optional[str] = None):
+        """Transitions from ``state`` in declared order: the input edges on
+        ``channel``, or the action edges when ``channel`` is None."""
+        return self._edges.get((state, channel), ())
 
 
 @dataclass
@@ -208,8 +194,8 @@ class ControllerInstance:
         across an observation point (it would trip the waiting cars'
         no-potential-collision invariants).
         """
-        for t in self.defn.from_state(self.state):
-            if t.input is not None or id(t) in self.fired_this_tick:
+        for t in self.defn.edges(self.state):
+            if id(t) in self.fired_this_tick:
                 continue
             if t.guard is not None and not t.guard.holds(env):
                 continue
@@ -220,9 +206,7 @@ class ControllerInstance:
 
     def matching_input(self, msg: Message, env: GuardEnv):
         """First declared input transition accepting the message, with bindings."""
-        for t in self.defn.from_state(self.state):
-            if t.input is None or t.input.channel != msg.channel:
-                continue
+        for t in self.defn.edges(self.state, msg.channel):
             if len(t.input.var_names) != len(msg.payload):
                 continue
             bindings = dict(zip(t.input.var_names, msg.payload))

@@ -2,8 +2,11 @@
 
 An output never blocks the sender; it reaches exactly those receivers whose
 guard accepts the bound payload.  Messages are not persisted: whoever is not
-listening at send time never sees them.  A channel is a name and the number
-of values its messages carry; a message is its channel, payload and sender.
+listening at send time never sees them.  Delivery is reliable: every listener
+hears every message at once.  The protocol's safety rests on this, as a car
+reserves only after every potential helper heard its ``cross``.  A channel is
+a name and the number of values its messages carry; a message is its
+channel, payload and sender.
 """
 
 from __future__ import annotations

@@ -7,10 +7,17 @@ invariant, (4) one kinematic evolution step with all clocks advanced.  An
 action edge fires at most once per tick, and a tick whose micro-steps still
 move after ``FUEL`` passes reports a suspected livelock.  Everything is
 deterministic: cars, instances and messages are processed in a fixed order.
+
+Helper clones are made on demand: ``Simulation.instances`` holds road,
+crossing and the helper clones that are busy or went back to q0 this tick.
+A ``cross`` goes to each car's lowest-index clone in q0, kept or fresh, up to
+one clone per car of the scenario; ``microstep`` first drops the clones back
+in q0 and the instances of cars that have left the snapshot.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +35,6 @@ from .snapshot import apply_action
 from .snapshot import evolve as evolve_snapshot
 from .views import build_multiview
 
-_KIND_ORDER = {"road": 0, "crossing": 1, "helper": 2}
 FUEL = 64  # micro-step passes per tick before "livelock suspected"
 
 
@@ -68,23 +74,13 @@ class Simulation:
         self.ts = scenario.snapshot()
         self.bus = Bus()
         standard_channels(self.bus)
-        self.instances: list[ControllerInstance] = []
-        pool_size = max(1, len(scenario.cars))
-        road_defn = road_controller_stub()
-        crossing_defn = crossing_controller(self.params)
-        helper_defn = helper_controller(self.params)
-        for cid in sorted(scenario.cars):
-            kinds = scenario.equipped.get(cid, ())
-            if "road" in kinds:
-                self.instances.append(ControllerInstance(road_defn, cid))
-            if "crossing" in kinds:
-                self.instances.append(ControllerInstance(crossing_defn, cid))
-            if "helper" in kinds:
-                self.instances.extend(
-                    ControllerInstance(helper_defn, cid, clone=i)
-                    for i in range(pool_size)
-                )
-        self.instances.sort(key=lambda i: (i.car, _KIND_ORDER[i.defn.name], i.clone))
+        self.helper = helper_controller(self.params)
+        defns = (road_controller_stub(), crossing_controller(self.params))
+        self.instances: list[ControllerInstance] = [  # in (car, kind, clone) order
+            ControllerInstance(defn, cid)
+            for cid in sorted(scenario.cars) for defn in defns
+            if defn.name in scenario.equipped.get(cid, ())
+        ]
         self.events: list[TraceEvent] = []
         self.verdict = Verdict()
         self.time = 0.0
@@ -146,35 +142,27 @@ class Simulation:
         )
         pending: list[Message] = []
         decisions = []
+        idle = self.helper.initial
 
         def listener_for(inst):
             def guard(message):
                 hit = inst.matching_input(message, self.env_for(inst))
                 if hit is not None:
-                    decisions.append((inst, hit[0], hit[1]))
-                    return True
-                return False
+                    decisions.append((inst, *hit))
+                return hit is not None
 
             return Listener(inst.uid, inst.car, guard)
 
         # offer only instances that could take the message from their
-        # current state; idle helper clones are interchangeable, so a single
-        # one per car stands in for the whole pool
-        candidates = []
-        seen_idle: set = set()
-        for inst in self.instances:
-            if inst.car not in self.ts.cars:
-                continue
-            if not any(
-                t.input is not None and t.input.channel == msg.channel
-                for t in inst.defn.from_state(inst.state)
-            ):
-                continue
-            if inst.defn.name == "helper" and inst.state == inst.defn.initial:
-                if inst.car in seen_idle:
-                    continue
-                seen_idle.add(inst.car)
-            candidates.append(inst)
+        # current state; of the idle helper clones, each car offers one
+        candidates = [
+            inst for inst in self.instances
+            if inst.defn.edges(inst.state, msg.channel)
+            and not (inst.defn is self.helper and inst.state == idle)
+        ]
+        if self.helper.edges(idle, msg.channel):
+            candidates.extend(filter(None, map(self._idle_helper, self.ts.car_ids())))
+            candidates.sort(key=_order)
         report = self.bus.broadcast(msg, [listener_for(i) for i in candidates])
         for uid, verdict in report:
             self.emit(
@@ -185,6 +173,8 @@ class Simulation:
                 ("receiver", uid),
             )
         for inst, transition, bindings in decisions:
+            if inst not in self.instances:  # a fresh clone that accepted
+                bisect.insort(self.instances, inst, key=_order)
             env = self.env_for(inst).with_bindings(bindings)
             result = inst.fire(transition, env)
             self._record_transition(inst, transition)
@@ -192,6 +182,19 @@ class Simulation:
             pending.extend(result.messages)
         for out in pending:
             self._deliver(out)
+
+    def _idle_helper(self, car) -> Optional[ControllerInstance]:
+        """The clone ``car`` offers a ``cross``: its lowest-index one in q0,
+        kept or fresh; None without a helper or while all clones are busy."""
+        if "helper" not in self.scenario.equipped.get(car, ()):
+            return None
+        kept = {i.clone: i for i in self.instances
+                if i.car == car and i.defn is self.helper}
+        for k in range(len(self.scenario.cars)):
+            inst = kept.get(k) or ControllerInstance(self.helper, car, clone=k)
+            if inst.state == self.helper.initial:
+                return inst
+        return None
 
     def _record_transition(self, inst, transition) -> None:
         guard = transition.guard.name if transition.guard else (
@@ -209,25 +212,32 @@ class Simulation:
         )
 
     def microstep(self) -> None:
+        # a clone that went back to q0 stays until here, so that the edges
+        # it fired rest for the rest of its tick; then it is idle again
+        self.instances = [
+            inst for inst in self.instances
+            if inst.car in self.ts.cars
+            and not (inst.defn is self.helper and inst.state == self.helper.initial)
+        ]
         for inst in self.instances:
             inst.fired_this_tick.clear()
         for _ in range(FUEL):
             fired = False
-            for inst in self.instances:
-                if inst.car not in self.ts.cars:
-                    continue
-                if not inst.defn.has_action_from(inst.state):
-                    continue
+            i = 0
+            while i < len(self.instances):
+                inst = self.instances[i]
                 env = self.env_for(inst)
                 transition = inst.enabled_transition(env)
-                if transition is None:
-                    continue
-                result = inst.fire(transition, env)
-                self._record_transition(inst, transition)
-                self._apply_actions(inst, result.actions)
-                for msg in result.messages:
-                    self._deliver(msg)
-                fired = True
+                if transition is not None:
+                    result = inst.fire(transition, env)
+                    self._record_transition(inst, transition)
+                    self._apply_actions(inst, result.actions)
+                    for msg in result.messages:
+                        self._deliver(msg)
+                    fired = True
+                    # clones that joined while delivering may sit before it
+                    i = self.instances.index(inst)
+                i += 1
             if not fired:
                 return
         self.emit("Violation", ("kind", "livelock suspected"),
@@ -237,8 +247,6 @@ class Simulation:
 
     def check_invariants(self) -> None:
         for inst in self.instances:
-            if inst.car not in self.ts.cars:
-                continue
             if not inst.invariant_ok(self.env_for(inst)):
                 self.emit(
                     "Violation",
@@ -286,8 +294,7 @@ class Simulation:
         self.check_invariants()
         self.ts = evolve_snapshot(self.ts, dt)
         for inst in self.instances:
-            if inst.car in self.ts.cars:
-                inst.advance(dt)
+            inst.advance(dt)
         self.tick += 1
         self.time = self.tick * dt
         self._update_stall()
@@ -310,6 +317,11 @@ class Simulation:
             self.emit("Violation", ("kind", "deadlock"),
                       ("cars", "|".join(sorted(deadlocked))))
         return self.verdict
+
+
+def _order(inst: ControllerInstance) -> tuple:
+    # a car's road and crossing controllers, then its helper clones
+    return (inst.car, inst.defn.name == "helper", inst.clone)
 
 
 def _payload_str(payload) -> str:

@@ -14,7 +14,7 @@ from crossings.logic import default_valuation, eval_formula, invert, parse
 from crossings.network import NodeId
 from crossings.randomgen import negative_scenario, sweep_scenario
 from crossings.scenario import load_scenario
-from crossings.snapshot import evolve, sanity_check
+from crossings.snapshot import sanity_check
 from crossings.views import build_multiview, twist
 
 from gridgen import GRID_POINTS, random_instance
@@ -132,21 +132,11 @@ def test_criterion_3_protocol_conformance_traces():
 
 
 def _sweep_worker(seed):
-    scenario = sweep_scenario(seed)
-    sim = Simulation(scenario)
-    ok_sane = True
-    for tick in range(scenario.ticks):
-        sim.time = tick * scenario.dt
-        sim.microstep()
-        sim.monitor()
-        sim.check_invariants()
-        sim.ts = evolve(sim.ts, scenario.dt)
-        for inst in sim.instances:
-            if inst.car in sim.ts.cars:
-                inst.advance(scenario.dt)
-        if sanity_check(sim.ts):
-            ok_sane = False
-    return seed, sim.verdict.safe, ok_sane
+    sim = Simulation(sweep_scenario(seed))
+    problems = []
+    sim._emit_snapshot = lambda: problems.extend(sanity_check(sim.ts))
+    sim.run()
+    return seed, sim.verdict.safe, problems == []
 
 
 @pytest.mark.slow

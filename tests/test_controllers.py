@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from crossings.automata import (
@@ -17,7 +19,7 @@ from crossings.comm import Message
 from crossings.harness import Simulation
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
-from crossings.scenario import load_scenario
+from crossings.scenario import load_scenario, parse_scenario
 from crossings.snapshot import ActionKind, TrafficSnapshot, apply_action
 from crossings.views import build_multiview
 
@@ -145,7 +147,7 @@ class TestCrossingController:
 
     def test_timeout_edges_come_after_communication_edges(self):
         defn = crossing_controller(PARAMS)
-        q3 = defn.from_state("q3")
+        q3 = [t for t in defn.transitions if t.source == "q3"]
         first_timed = next(i for i, t in enumerate(q3) if t.guard is not None)
         assert all(t.input is not None for t in q3[:first_timed])
 
@@ -313,14 +315,101 @@ class TestHelperController:
         assert inst.matching_input(msg, env) is None
 
 
+def _helper_pool_scenario(d_fields=""):
+    """The helper-yes crossing with one helper, D, and two senders, E and F."""
+    bundled = resources.files("crossings").joinpath(
+        "scenarios", "helper-yes.scn").read_text()
+    network = bundled[:bundled.index("[cars]")]
+    return parse_scenario(network + f"""[cars]
+car D path=5,c3,6 pos=100 controllers=helper {d_fields}
+car E path=7,c0,c1,c2,4 pos=100 controllers=none
+car F path=1,c1,c2,c3,6 pos=100 controllers=none
+""", name="helper-pool")
+
+
+def _cross(sim, sender, *cells):
+    """Deliver a ``cross`` request; returns the (receiver, role) report."""
+    first = len(sim.events)
+    sim._deliver(Message("cross", (sender, frozenset(cs(c) for c in cells)), sender))
+    return [
+        (d["receiver"], d["role"])
+        for d in (dict(ev.payload) for ev in sim.events[first:]
+                  if ev.kind == "Message")
+        if d["channel"] == "cross" and d["role"] != "send"
+    ]
+
+
+def _helpers(sim):
+    return [i for i in sim.instances if i.defn.name == "helper"]
+
+
+def _sends(sim):
+    """(channel, sender, payload) of every message sent so far."""
+    return [
+        (d["channel"], d["sender"], d["payload"])
+        for d in (dict(ev.payload) for ev in sim.events if ev.kind == "Message")
+        if d["role"] == "send"
+    ]
+
+
 class TestHelperPool:
-    def test_pool_size_and_uids(self):
-        # one idle helper clone per car of the scenario, for every equipped car
+    def test_new_simulation_holds_no_helper(self):
         sim = Simulation(load_scenario("helper-yes"))
-        clones = [i for i in sim.instances if i.car == "D" and i.defn.name == "helper"]
-        assert len(clones) == len(sim.scenario.cars)
-        assert [c.uid for c in clones] == [f"D/helper/{i}" for i in range(len(clones))]
-        assert all(c.state == "q0" for c in clones)
+        assert [i.defn.name for i in sim.instances] == ["road", "crossing"] * 2
+
+    def test_clones_join_at_the_lowest_free_index_up_to_the_bound(self):
+        sim = Simulation(_helper_pool_scenario())
+        assert _cross(sim, "E", 0, 1, 2) == [("D/helper/0", "accept")]
+        assert [(i.uid, i.state) for i in _helpers(sim)] == [("D/helper/0", "q2")]
+        # the busy clone is offered first; it cannot take a second request
+        # from its enquirer, so the next free index joins
+        assert _cross(sim, "E", 0, 1, 2) == [("D/helper/0", "reject"),
+                                             ("D/helper/1", "accept")]
+        assert [(i.uid, i.state) for i in _helpers(sim)] == \
+            [("D/helper/0", "q2"), ("D/helper/1", "q2")]
+        _cross(sim, "E", 0, 1, 2)
+        # one clone per car of the scenario, all busy: none is offered
+        assert len(_helpers(sim)) == len(sim.scenario.cars) == 3
+        assert _cross(sim, "E", 0, 1, 2) == [(f"D/helper/{k}", "reject")
+                                             for k in range(3)]
+        assert len(_helpers(sim)) == 3
+
+    def test_clone_back_in_q0_is_reused_until_the_next_microstep(self):
+        sim = Simulation(_helper_pool_scenario("cclm=c3"))
+        assert _cross(sim, "E", 3) == [("D/helper/0", "accept")]
+        (clone,) = _helpers(sim)
+        assert clone.state == "q1"
+        sim.microstep()  # declines: q1 -> q0, no!E
+        assert clone.state == "q0" and _helpers(sim) == [clone]
+        # the same tick, a second conflicting request: the clone that already
+        # declined takes it, and its decline edge rests until the next tick
+        assert _cross(sim, "F", 3) == [("D/helper/0", "accept")]
+        assert _helpers(sim) == [clone] and clone.state == "q1"
+        assert clone.enabled_transition(sim.env_for(clone)) is None
+        sim.microstep()
+        assert clone.state == "q0"
+        assert _sends(sim) == [("cross", "E", "E;c3"), ("no", "D", "E"),
+                               ("cross", "F", "F;c3"), ("no", "D", "F")]
+        sim.microstep()
+        assert _helpers(sim) == []
+
+    def test_committed_clone_vetoes_a_third_request(self):
+        sim = Simulation(_helper_pool_scenario())
+        assert _cross(sim, "E", 0, 1, 2) == [("D/helper/0", "accept")]
+        # F's request meets E's cells: the committed clone, offered before
+        # an idle one, takes it and the message is consumed
+        assert _cross(sim, "F", 1, 2, 3) == [("D/helper/0", "accept")]
+        (clone,) = _helpers(sim)
+        assert (clone.state, clone.data["h"], clone.data["d"]) == ("q3", "E", "F")
+        sim.microstep()
+        moves = [(d["inst"], d["from"], d["to"], d["label"])
+                 for d in (dict(ev.payload) for ev in sim.events
+                           if ev.kind == "ControllerTransition")]
+        assert moves[1:3] == [
+            ("D/helper/0", "q2", "q3", "conflicting third request"),
+            ("D/helper/0", "q3", "q2", "decline"),
+        ]
+        assert _sends(sim)[2] == ("no", "D", "F")
 
 
 class TestRoadStub:

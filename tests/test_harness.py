@@ -9,7 +9,12 @@ from crossings.formulas import pc_cars, ph_cars
 from crossings.harness import Simulation, run, write_trace
 from crossings.network import cs
 from crossings.randomgen import negative_scenario, sweep_scenario
-from crossings.scenario import ScenarioError, load_scenario, parse_scenario
+from crossings.scenario import (
+    ScenarioError,
+    bundled_scenarios,
+    load_scenario,
+    parse_scenario,
+)
 from crossings.snapshot import sanity_check
 from crossings.views import build_multiview
 
@@ -273,12 +278,14 @@ class TestMutualExclusion:
     def test_no_double_booking_while_both_manoeuvres_pending(self):
         """Crossing reservations may only overlap once the earlier car has
         physically cleared the cells and is merely waiting out its timer."""
-        for seed in range(8):
-            scenario = sweep_scenario(seed)
+        scenarios = [sweep_scenario(seed) for seed in range(8)]
+        scenarios += [load_scenario(name) for name in bundled_scenarios()]
+        for scenario in scenarios:
             sim = Simulation(scenario)
-            for tick in range(scenario.ticks):
-                sim.time = tick * scenario.dt
-                sim.microstep()
+            monitor = sim.monitor
+
+            def check_then_monitor(sim=sim, monitor=monitor):
+                # right after the micro-steps, before the tick's evolution
                 cars = sim.ts.cars
                 holders = {c: s.cres for c, s in cars.items() if s.cres}
                 ids = sorted(holders)
@@ -291,9 +298,8 @@ class TestMutualExclusion:
                                 or any(n.is_crossing for n in
                                        cars[c].path[cars[c].curr:])
                             ]
-                            assert len(pending) <= 1, (seed, a, b)
-                from crossings.snapshot import evolve
-                sim.ts = evolve(sim.ts, scenario.dt)
-                for inst in sim.instances:
-                    if inst.car in sim.ts.cars:
-                        inst.advance(scenario.dt)
+                            assert len(pending) <= 1, (scenario.name, sim.time, a, b)
+                monitor()
+
+            sim.monitor = check_then_monitor
+            sim.run()
