@@ -154,14 +154,15 @@ class Simulation:
             return Listener(inst.uid, inst.car, guard)
 
         # offer only instances that could take the message from their
-        # current state; of the idle helper clones, each car offers one
+        # current state; each car but the sender offers one idle helper clone
         candidates = [
             inst for inst in self.instances
             if inst.defn.edges(inst.state, msg.channel)
             and not (inst.defn is self.helper and inst.state == idle)
         ]
         if self.helper.edges(idle, msg.channel):
-            candidates.extend(filter(None, map(self._idle_helper, self.ts.car_ids())))
+            others = (car for car in self.ts.car_ids() if car != msg.sender)
+            candidates.extend(filter(None, map(self._idle_helper, others)))
             candidates.sort(key=_order)
         report = self.bus.broadcast(msg, [listener_for(i) for i in candidates])
         for uid, verdict in report:

@@ -1,69 +1,39 @@
-"""Static road topology: weighted lane / crossing-segment graph and its coarse view.
+"""Static road topology: weighted lane / crossing-cell graph and its coarse view.
 
-Nodes are lanes (continuous, directed) and crossing segments (discrete cells
-of an intersection).  Lanes paired by an undirected edge form a road segment;
-crossing segments that are strongly connected under directed edges form an
-intersection.  Collapsing those components gives the coarse graph used to
-find the approach roads of an intersection.
+The road model of UMLSL as plain values.  A node is a ``(kind, index)``
+pair: a lane (kind 0, continuous, directed) or a crossing cell (kind 1, a
+discrete segment of an intersection).  Lanes paired by an undirected edge
+form a road segment; crossing cells that reach each other over directed
+edges between cells form an intersection.  Collapsing those components
+gives the coarse graph used to find the approach roads of an intersection.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+LANE, CROSSING = 0, 1
 
 
-class NodeKind(Enum):
-    LANE = 0
-    CROSSING = 1
+class NodeId(NamedTuple):
+    """A lane ("7", kind 0) or crossing cell ("c3", kind 1).
 
+    A plain ``(kind, index)`` tuple: nodes hash, compare and order as
+    tuples, lanes before cells and each kind by index.
+    """
 
-class NodeId:
-    """A lane ("7") or crossing segment ("c3"). Ordering is (kind, index)."""
-
-    __slots__ = ("kind", "index", "_key", "_hash")
-
-    def __init__(self, kind: NodeKind, index: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_key", (kind.value, index))
-        object.__setattr__(self, "_hash", hash((kind.value, index)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NodeId is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, NodeId) and self._key == other._key
-        )
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        return self._key > other._key
-
-    def __ge__(self, other):
-        return self._key >= other._key
-
-    def __repr__(self):
-        return f"NodeId({self.kind.name}, {self.index})"
+    kind: int
+    index: int
 
     @property
     def is_lane(self) -> bool:
-        return self.kind is NodeKind.LANE
+        return self.kind == LANE
 
     @property
     def is_crossing(self) -> bool:
-        return self.kind is NodeKind.CROSSING
+        return self.kind == CROSSING
 
     def __str__(self) -> str:
         return f"c{self.index}" if self.is_crossing else str(self.index)
@@ -71,35 +41,24 @@ class NodeId:
     @staticmethod
     def parse(text: str) -> "NodeId":
         text = text.strip()
-        if text.startswith("c"):
-            return cs(int(text[1:]))
-        return lane(int(text))
-
-
-_INTERNED: dict = {}
+        return cs(int(text[1:])) if text.startswith("c") else lane(int(text))
 
 
 def lane(i: int) -> NodeId:
-    node = _INTERNED.get((0, i))
-    if node is None:
-        node = _INTERNED[(0, i)] = NodeId(NodeKind.LANE, i)
-    return node
+    return NodeId(LANE, i)
 
 
 def cs(i: int) -> NodeId:
-    node = _INTERNED.get((1, i))
-    if node is None:
-        node = _INTERNED[(1, i)] = NodeId(NodeKind.CROSSING, i)
-    return node
+    return NodeId(CROSSING, i)
 
 
-# edge kinds that may carry a directed edge
-_ALLOWED_DIRECTED = {
-    (NodeKind.LANE, NodeKind.CROSSING),
-    (NodeKind.CROSSING, NodeKind.LANE),
-    (NodeKind.CROSSING, NodeKind.CROSSING),
-    (NodeKind.LANE, NodeKind.LANE),
-}
+class ComponentNameError(ValueError):
+    """A component name that fits no component, names one twice, or is
+    another component's id."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(f"name {name!r} {problem}")
+        self.name = name
 
 
 class UrbanRoadNetwork:
@@ -124,10 +83,6 @@ class UrbanRoadNetwork:
         for adj in (self._succ, self._pred):
             for n in adj:
                 adj[n].sort()
-
-    @property
-    def nodes(self) -> set[NodeId]:
-        return set(self.weights)
 
     def successors(self, n: NodeId) -> list[NodeId]:
         return self._succ.get(n, [])
@@ -155,7 +110,6 @@ class Intersection:
 
 @dataclass(frozen=True)
 class CoarseNetwork:
-    road_nodes: frozenset[str]
     crossing_nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
@@ -177,10 +131,7 @@ def validate_network(net: UrbanRoadNetwork) -> list[str]:
     for u, v in net.directed:
         if u not in net.weights or v not in net.weights:
             problems.append(f"directed edge ({u},{v}) references unknown node")
-            continue
-        if (u.kind, v.kind) not in _ALLOWED_DIRECTED:
-            problems.append(f"directed edge ({u},{v}) has forbidden node kinds")
-        if u == v:
+        elif u == v:
             problems.append(f"directed self-edge on {u}")
     # every lane pairs with exactly one partner lane
     for n in net.weights:
@@ -191,81 +142,59 @@ def validate_network(net: UrbanRoadNetwork) -> list[str]:
     return problems
 
 
-def strongly_connected_components(nodes, succ) -> list[frozenset]:
-    """Iterative Tarjan over the given adjacency (restricted to ``nodes``)."""
-    nodes = sorted(nodes)
-    node_set = set(nodes)
-    index: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    on_stack: set[NodeId] = set()
-    stack: list[NodeId] = []
-    out: list[frozenset] = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter([s for s in succ(root) if s in node_set]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([s for s in succ(w) if s in node_set])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(frozenset(comp))
-    return out
+def _intersection_cells(net: UrbanRoadNetwork) -> list[frozenset[NodeId]]:
+    """Classes of crossing cells that reach each other over edges between
+    cells, ordered by smallest cell.  Each cell's reach is searched once, so
+    the cost grows with the square of the cells one cell can reach."""
+    reach = {}
+    for n in sorted(n for n in net.weights if n.is_crossing):
+        seen, todo = {n}, [n]
+        while todo:
+            for m in net.successors(todo.pop()):
+                if m.is_crossing and m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        reach[n] = seen
+    classes = {frozenset(m for m in seen if n in reach[m])
+               for n, seen in reach.items()}
+    return sorted(classes, key=min)
 
 
-def components(net: UrbanRoadNetwork):
-    """Partition nodes into road segments and intersections.
+def components(net: UrbanRoadNetwork, segment_names=None, intersection_names=None):
+    """Partition nodes into road segments (the undirected lane pairs) and
+    intersections (classes of crossing cells that reach each other).
 
-    Road segments are the undirected lane pairs; intersections are the
-    strongly connected components of the crossing-segment subgraph.  Default
-    ids are r0, r1, ... by smallest lane index and cr (single intersection)
-    or cr0, cr1, ... by smallest segment index.
+    A component takes the name that ``segment_names`` or
+    ``intersection_names`` (name -> node set) gives exactly its nodes; the
+    others get r0, r1, ... by smallest lane and cr (a single intersection) or
+    cr0, cr1, ... by smallest cell.  A name that fits no component, names one
+    twice or is another's id raises ``ComponentNameError``.
     """
-    seg_sets = sorted(
-        ({a, b} for a, b in net.undirected),
-        key=lambda s: min(n.index for n in s),
-    )
-    segments = [RoadSegment(f"r{i}", frozenset(s)) for i, s in enumerate(seg_sets)]
+    pairs = sorted((frozenset(e) for e in net.undirected), key=min)
+    cells = _intersection_cells(net)
+    seg_ids = _ids(pairs, segment_names, "road segment", lambda i: f"r{i}")
+    cr_ids = _ids(cells, intersection_names, "intersection",
+                  lambda i: "cr" if len(cells) == 1 else f"cr{i}")
+    ids = seg_ids + cr_ids
+    for name in [*(segment_names or ()), *(intersection_names or ())]:
+        if ids.count(name) > 1:
+            raise ComponentNameError(name, "is also another component's id")
+    return ([RoadSegment(i, s) for i, s in zip(seg_ids, pairs)],
+            [Intersection(i, c) for i, c in zip(cr_ids, cells)])
 
-    cs_nodes = [n for n in net.weights if n.is_crossing]
-    sccs = strongly_connected_components(
-        cs_nodes, lambda n: [s for s in net.successors(n) if s.is_crossing]
-    )
-    sccs.sort(key=lambda c: min(n.index for n in c))
-    if len(sccs) == 1:
-        intersections = [Intersection("cr", sccs[0])]
-    else:
-        intersections = [Intersection(f"cr{i}", c) for i, c in enumerate(sccs)]
-    return segments, intersections
+
+def _ids(node_sets, names, what, default) -> list[str]:
+    given: dict = {}  # node set -> its name
+    for name, nodes in (names or {}).items():
+        nodes = frozenset(nodes)
+        if nodes not in node_sets:
+            listed = " ".join(map(str, sorted(nodes)))
+            raise ComponentNameError(name, f"is given to {listed or 'no node'}, "
+                                           f"which is not one {what}")
+        if nodes in given:
+            raise ComponentNameError(name, f"names the {what} {given[nodes]!r} again")
+        given[nodes] = name
+    return [given.get(s, default(i)) for i, s in enumerate(node_sets)]
 
 
 class Topology:
@@ -276,21 +205,12 @@ class Topology:
         if problems:
             raise ValueError("invalid network: " + "; ".join(problems))
         self.net = net
-        segments, intersections = components(net)
-        if segment_names:
-            segments = [_rename(s, segment_names, RoadSegment) for s in segments]
-        if intersection_names:
-            intersections = [_rename(i, intersection_names, Intersection) for i in intersections]
-        self.segments = segments
-        self.intersections = intersections
-        self.segment_of: dict[NodeId, RoadSegment] = {}
-        for seg in segments:
-            for n in seg.lanes:
-                self.segment_of[n] = seg
-        self.intersection_of: dict[NodeId, Intersection] = {}
-        for inter in intersections:
-            for n in inter.segments:
-                self.intersection_of[n] = inter
+        self.segments, self.intersections = components(
+            net, segment_names, intersection_names)
+        self.segment_of: dict[NodeId, RoadSegment] = {
+            n: seg for seg in self.segments for n in seg.lanes}
+        self.intersection_of: dict[NodeId, Intersection] = {
+            n: inter for inter in self.intersections for n in inter.segments}
         self.coarse = self._coarsen()
         # what is derived from the topology alone (the virtual lane pairs
         # that `views` builds per ego path position) lives and dies with it
@@ -304,20 +224,16 @@ class Topology:
             elif u.is_crossing and v.is_lane:
                 edges.add((self.intersection_of[u].id, self.segment_of[v].id))
         return CoarseNetwork(
-            road_nodes=frozenset(s.id for s in self.segments),
             crossing_nodes=frozenset(i.id for i in self.intersections),
             edges=frozenset(edges),
         )
-
-    def component_id(self, n: NodeId) -> str:
-        return self.segment_of[n].id if n.is_lane else self.intersection_of[n].id
 
     def coarsen_path(self, path: Sequence[NodeId]) -> list[str]:
         """Component ids along ``path`` with adjacent duplicates collapsed."""
         check_path(self.net, path)
         out: list[str] = []
         for n in path:
-            cid = self.component_id(n)
+            cid = self.segment_of[n].id if n.is_lane else self.intersection_of[n].id
             if not out or out[-1] != cid:
                 out.append(cid)
         return out
@@ -327,15 +243,6 @@ class Topology:
         if cr_id not in self.coarse.crossing_nodes:
             raise KeyError(f"unknown intersection {cr_id!r}")
         return {r for (r, c) in self.coarse.edges if c == cr_id}
-
-
-def _rename(comp, names, cls):
-    for name, node_set in names.items():
-        if frozenset(node_set) == (comp.lanes if cls is RoadSegment else comp.segments):
-            if cls is RoadSegment:
-                return RoadSegment(name, comp.lanes)
-            return Intersection(name, comp.segments)
-    return comp
 
 
 def check_path(net: UrbanRoadNetwork, path: Sequence[NodeId]) -> None:
@@ -373,22 +280,19 @@ def shortest_directed_path(
     backwards = direction.lower() == "backwards"
     succ = net.predecessors if backwards else net.successors
 
-    if start in targets:
-        return (start,)
-
-    # uniform edge weights: a heap ordered by (hops, path key) yields the
-    # lexicographically smallest minimum-hop path
-    best: dict[NodeId, tuple] = {}
-    heap = [(0, (start._key,), (start,))]
+    # uniform edge weights: a heap ordered by (hops, path) pops each node
+    # first on its lexicographically smallest minimum-hop path
+    done: set[NodeId] = set()
+    heap = [(0, (start,))]
     while heap:
-        hops, key, path = heapq.heappop(heap)
+        hops, path = heapq.heappop(heap)
         node = path[-1]
-        if node in best and best[node] <= (hops, key):
+        if node in done:
             continue
-        best[node] = (hops, key)
+        done.add(node)
         if node in targets:
             return tuple(reversed(path)) if backwards else path
         for nxt in succ(node):
-            if nxt not in best:
-                heapq.heappush(heap, (hops + 1, key + (nxt._key,), path + (nxt,)))
+            if nxt not in done:
+                heapq.heappush(heap, (hops + 1, path + (nxt,)))
     return None

@@ -17,20 +17,23 @@ Car fields: path (required), pos, speed, size, braking (defaults to
 speed^2 / (2 b_max)), node (path element the rear is on), heading (true or
 false, default true), res, clm, cres, cclm, controllers (road,crossing,helper
 or none), monitor (true or false, default true: whether the safety monitor
-judges the car).  Unknown or repeated parameters and car fields are errors.
+judges the car).  Unknown or repeated parameters and car fields are errors,
+and so is a ``pair`` or ``intersection`` name that repeats, that does not fit
+exactly one component, or that another component has as its id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
 from .formulas import col_witness
-from .network import NodeId, Topology, UrbanRoadNetwork, check_path
+from .network import ComponentNameError, NodeId, Topology, UrbanRoadNetwork, check_path
 from .params import ProtocolParams
 from .snapshot import (
+    B_MAX,
     CarState,
     PathExhausted,
     TrafficSnapshot,
@@ -116,9 +119,16 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     undirected = []
     segment_names = {}
     intersection_names = {}
+    name_lines = {}  # component name -> the line that gives it
     car_lines = []
     raw_params = {}
     section = None
+
+    def give_name(line_no, name, names, nodes):
+        if name in name_lines:
+            _err(line_no, f"repeated name {name!r} (first on line {name_lines[name]})")
+        name_lines[name] = line_no
+        names[name] = nodes
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -144,13 +154,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                 a, b = _node(line_no, parts[1]), _node(line_no, parts[2])
                 undirected.append((a, b))
                 if len(parts) == 4:
-                    segment_names[parts[3]] = frozenset((a, b))
+                    give_name(line_no, parts[3], segment_names, frozenset((a, b)))
             elif parts[0] == "intersection" and len(line.split("=")[0].split()) == 2:
                 head, _, tail = line.partition("=")
-                cname = head.split()[1]
-                intersection_names[cname] = frozenset(
-                    _node(line_no, p) for p in tail.split()
-                )
+                give_name(line_no, head.split()[1], intersection_names,
+                          frozenset(_node(line_no, p) for p in tail.split()))
             else:
                 _err(line_no, f"bad network line {line!r}")
         elif section == "cars":
@@ -171,7 +179,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
 
     net = UrbanRoadNetwork(weights, directed, undirected)
     try:
-        topo = Topology(net, segment_names or None, intersection_names or None)
+        topo = Topology(net, segment_names, intersection_names)
+    except ComponentNameError as exc:
+        _err(name_lines[exc.name], str(exc))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -185,15 +195,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             _err(line_no, f"bad value for {key}: {value!r}")
         return _finite(line_no, out, value, key)
 
-    params = ProtocolParams(
-        d_c=param("d_c", 60.0),
-        max_se=param("max_se", 40.0),
-        t_o=param("t_o", 5.0),
-        t_w=param("t_w", 0.5),
-        t=param("t", 0.3),
-        t_cr=param("t_cr", 10.0),
-    )
-    b_max = param("b_max", 8.0)
+    params = ProtocolParams(**{f.name: param(f.name, f.default)
+                               for f in dataclass_fields(ProtocolParams)})
+    b_max = param("b_max", B_MAX)
+    default = {f.name: f.default for f in dataclass_fields(Scenario)}
+    default["h_f"] = params.d_c + params.max_se + 50.0
     scenario = Scenario(
         name=name,
         topo=topo,
@@ -201,11 +207,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         equipped={},
         monitored=[],
         params=params,
-        h_b=param("h_b", 50.0),
-        h_f=param("h_f", params.d_c + params.max_se + 50.0),
-        dt=param("dt", 0.05),
-        max_time=param("max_time", 60.0),
-        patience=param("patience", 20.0),
+        **{key: param(key, default[key])
+           for key in ("h_b", "h_f", "dt", "max_time", "patience")},
     )
     for key, (line_no, _) in raw_params.items():  # read by no param() above
         _err(line_no, f"unknown parameter {key!r}")

@@ -77,7 +77,10 @@ class TrafficSnapshot:
         return out
 
 
-def braking_distance(speed: float, b_max: float = 8.0) -> float:
+B_MAX = 8.0  # default braking deceleration, m/s^2
+
+
+def braking_distance(speed: float, b_max: float = B_MAX) -> float:
     """Stopping distance of the cruise speed under constant deceleration."""
     return speed * speed / (2.0 * b_max)
 

@@ -10,18 +10,13 @@ from one window appear in a sibling window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Optional
 
 from .network import NodeId, Topology, shortest_directed_path
 from .snapshot import PathExhausted, TrafficSnapshot, physical_extent, safety_envelope
 
 EPS = 1e-9  # interval ends closer than this count as touching
-
-
-class Orientation(Enum):
-    SAME_AS_EGO = 0
-    OPPOSITE_TO_EGO = 1
 
 
 class Kind(IntEnum):
@@ -46,7 +41,6 @@ class Span:
 @dataclass(frozen=True)
 class VirtualLane:
     nodes: tuple[NodeId, ...]
-    orientation: Orientation
     spans: tuple[Span, ...]
 
     def __post_init__(self):
@@ -207,10 +201,8 @@ def _on_topology(build):
 def _straight_pair(topo, anchor):
     net = topo.net
     partner = net.lane_partner(anchor)
-    fwd = VirtualLane((anchor,), Orientation.SAME_AS_EGO,
-                      _lay_forward(topo, (anchor,), 0.0))
-    bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
-                      _lay_backward(topo, (partner,), net.weights[anchor]))
+    fwd = VirtualLane((anchor,), _lay_forward(topo, (anchor,), 0.0))
+    bwd = VirtualLane((partner,), _lay_backward(topo, (partner,), net.weights[anchor]))
     return (LanePair(fwd, bwd, topo.segment_of[anchor].id),)
 
 
@@ -224,11 +216,9 @@ def _own_path_pair(topo, path, anchor_idx, curr):
     nodes = path[anchor_idx:min(end + 1, len(path))]
     anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
     partner = net.lane_partner(anchor)
-    fwd = VirtualLane(nodes, Orientation.SAME_AS_EGO,
-                      _lay_forward(topo, nodes, anchor_start))
-    bwd = VirtualLane((partner,), Orientation.OPPOSITE_TO_EGO,
-                      _lay_backward(topo, (partner,),
-                                    anchor_start + net.weights[anchor]))
+    fwd = VirtualLane(nodes, _lay_forward(topo, nodes, anchor_start))
+    bwd = VirtualLane((partner,), _lay_backward(topo, (partner,),
+                                                anchor_start + net.weights[anchor]))
     exit_lane = nodes[-1] if nodes[-1].is_lane else anchor
     return (LanePair(fwd, bwd, topo.segment_of[exit_lane].id),)
 
@@ -262,10 +252,8 @@ def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
         if fwd_nodes is None or bwd_directed is None:
             continue  # one-way feeder, no closed pair through the crossing
         bwd_nodes = tuple(reversed(bwd_directed))
-        fwd = VirtualLane(fwd_nodes, Orientation.SAME_AS_EGO,
-                          _lay_forward(topo, fwd_nodes, anchor_start))
-        bwd = VirtualLane(bwd_nodes, Orientation.OPPOSITE_TO_EGO,
-                          _lay_backward(topo, bwd_nodes, entry_boundary))
+        fwd = VirtualLane(fwd_nodes, _lay_forward(topo, fwd_nodes, anchor_start))
+        bwd = VirtualLane(bwd_nodes, _lay_backward(topo, bwd_nodes, entry_boundary))
         pairs.append(LanePair(fwd, bwd, rj))
     return tuple(pairs)
 
@@ -471,17 +459,16 @@ def twist(view: View) -> View:
     a, b = view.extent
     total = a + b
 
-    def flip(vlane: VirtualLane, orientation: Orientation) -> VirtualLane:
+    def flip(vlane: VirtualLane) -> VirtualLane:
         spans = tuple(
             Span(s.node, total - s.hi, total - s.lo, reversed=not s.reversed)
             for s in reversed(vlane.spans)
         )
-        return VirtualLane(tuple(reversed(vlane.nodes)), orientation, spans)
+        return VirtualLane(tuple(reversed(vlane.nodes)), spans)
 
     return View(
         owner=view.owner,
-        lanes=(flip(view.lanes[1], Orientation.SAME_AS_EGO),
-               flip(view.lanes[0], Orientation.OPPOSITE_TO_EGO)),
+        lanes=(flip(view.lanes[1]), flip(view.lanes[0])),
         extent=(a, b),
         target=view.target,
     )

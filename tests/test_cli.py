@@ -79,6 +79,41 @@ class TestMalformedScenario:
         assert code == 2
         assert "bad network line" in err and "line 32" in err
 
+    def test_name_fitting_no_intersection(self, tmp_path, capsys):
+        # c0 c1 c2 is part of the one intersection, not all of it
+        code, err = self.run_edited(tmp_path, capsys, "cr = c0 c1 c2 c3", "cr = c0 c1 c2")
+        assert code == 2
+        assert "name 'cr' is given to c0 c1 c2, which is not one intersection" in err
+        assert "line 32" in err
+
+    def test_name_over_cells_that_do_not_reach_each_other(self, tmp_path, capsys):
+        # without c3 -> c0 the ring is a chain: four one-cell intersections
+        code, err = self.run_edited(tmp_path, capsys, "edge c3 c0", "edge c3 6")
+        assert code == 2
+        assert "c0 c1 c2 c3, which is not one intersection" in err and "line 32" in err
+
+    def test_repeated_name(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "pair 0 1 r1", "pair 0 1 r0")
+        assert code == 2
+        assert "repeated name 'r0' (first on line 16)" in err and "line 17" in err
+
+    def test_intersection_named_like_a_segment(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "intersection cr =", "intersection r2 =")
+        assert code == 2
+        assert "repeated name 'r2' (first on line 18)" in err and "line 32" in err
+
+    def test_name_that_is_another_components_default_id(self, tmp_path, capsys):
+        # unnamed, lanes 6 7 get the default id r3, which line 19 gives 4 5
+        code, err = self.run_edited(tmp_path, capsys, "pair 6 7 r0", "pair 6 7")
+        assert code == 2
+        assert "name 'r3' is also another component's id" in err and "line 19" in err
+
+    def test_second_name_for_one_intersection(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "c2 c3\n\n",
+                                    "c2 c3\nintersection x = c3 c2 c1 c0\n")
+        assert code == 2
+        assert "name 'x' names the intersection 'cr' again" in err and "line 33" in err
+
     def test_infinite_max_time(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "max_time = 12", "max_time = inf")
         assert code == 2

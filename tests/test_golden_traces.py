@@ -33,7 +33,7 @@ SWEEP_SEEDS = range(100)
 
 # edges, as (controller, from, to, label), that no golden run fires: the
 # helper's third-party branch and the road controller's lane-claim
-# withdrawal (ROADMAP item 5); remove an entry once a run covers it
+# withdrawal (ROADMAP item 4); remove an entry once a run covers it
 BLIND_SPOTS = {
     ("helper", "q2", "q3", "conflicting third request"),
     ("helper", "q3", "q2", "decline"),

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,6 +15,36 @@ from crossings.network import (
 
 def path(*names):
     return tuple(NodeId.parse(n) for n in names)
+
+
+class TestNodeId:
+    def test_lanes_order_before_cells_and_by_index(self):
+        nodes = [cs(3), lane(5), cs(0), lane(12), lane(2)]
+        assert sorted(nodes) == [lane(2), lane(5), lane(12), cs(0), cs(3)]
+
+    def test_parse_inverts_str(self):
+        for n in [lane(0), lane(7), lane(31), cs(0), cs(3), cs(12)]:
+            assert NodeId.parse(str(n)) == n
+        assert [str(lane(7)), str(cs(3))] == ["7", "c3"]
+
+    def test_equal_nodes_built_apart_are_equal(self):
+        a, b = NodeId(1, 4), NodeId.parse("c4")
+        assert a is not b
+        assert a == b == cs(4) and hash(a) == hash(b) == hash((1, 4))
+        assert len({a, b, cs(4)}) == 1
+        assert a.is_crossing and not a.is_lane and lane(4).is_lane
+
+
+def mutual_reachability_partition(net):
+    """Brute force: Warshall's transitive closure over the edges between
+    cells; cells a and b share an intersection iff each reaches the other."""
+    cells = [n for n in net.weights if n.is_crossing]
+    reach = {(a, b): a == b or (a, b) in net.directed for a in cells for b in cells}
+    for k in cells:
+        for a in cells:
+            for b in cells:
+                reach[a, b] = reach[a, b] or (reach[a, k] and reach[k, b])
+    return {frozenset(b for b in cells if reach[a, b] and reach[b, a]) for a in cells}
 
 
 class TestValidate:
@@ -61,7 +90,7 @@ class TestComponents:
         for inter in topo.intersections:
             assert not (inter.segments & seen)
             seen |= inter.segments
-        assert seen == topo.net.nodes
+        assert seen == set(topo.net.weights)
 
     def test_two_intersections_against_brute_force(self):
         # two 2-cell crossings joined by a road segment in between
@@ -78,26 +107,35 @@ class TestComponents:
         topo = Topology(net)
         assert len(topo.intersections) == 2
 
-        # oracle: brute-force SCC via pairwise reachability on the cs subgraph
-        cs_nodes = [n for n in net.nodes if n.is_crossing]
+        assert ({i.segments for i in topo.intersections}
+                == mutual_reachability_partition(net))
 
-        def reachable(a, b):
-            seen, todo = set(), [a]
-            while todo:
-                n = todo.pop()
-                if n == b:
-                    return True
-                for nxt in net.successors(n):
-                    if nxt.is_crossing and nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-            return False
-
-        for inter in topo.intersections:
-            for a, b in itertools.product(cs_nodes, repeat=2):
-                together = a in inter.segments and b in inter.segments
-                if a != b and together:
-                    assert reachable(a, b) and reachable(b, a)
+    def test_random_crossing_digraphs_against_brute_force(self):
+        # cells c0..c(n-1) with random one-way and two-way links, a forced
+        # two-cell cycle and lone cells; lane detours between cells must not
+        # join them
+        rng = random.Random(11)
+        for trial in range(60):
+            n = rng.randint(1, 7)
+            cells = [cs(i) for i in range(n)]
+            directed = {(a, b) for a in cells for b in cells
+                        if a != b and rng.random() < 0.25}
+            if n >= 2:
+                a, b = rng.sample(cells, 2)
+                directed |= {(a, b), (b, a)}
+            weights = {c: 5.0 for c in cells}
+            weights.update({lane(0): 50.0, lane(1): 50.0})
+            a, b = rng.choice(cells), rng.choice(cells)
+            directed |= {(a, lane(1)), (lane(1), b), (b, lane(0)), (lane(0), a)}
+            net = UrbanRoadNetwork(weights, directed, [(lane(0), lane(1))])
+            topo = Topology(net)
+            found = [i.segments for i in topo.intersections]
+            assert set(found) == mutual_reachability_partition(net), trial
+            assert len(found) == len(set(found))
+            assert found == sorted(found, key=min)
+            assert [i.id for i in topo.intersections] == (
+                ["cr"] if len(found) == 1
+                else [f"cr{k}" for k in range(len(found))])
 
 
 class TestCoarsen:
@@ -165,7 +203,7 @@ class TestShortestPath:
     def test_not_longer_than_exhaustive_enumeration(self, net):
         # oracle: enumerate all directed paths up to depth 8
         rng = random.Random(7)
-        nodes = sorted(net.nodes)
+        nodes = sorted(net.weights)
         for _ in range(25):
             start = rng.choice(nodes)
             goal = rng.choice(nodes)

@@ -16,3 +16,6 @@ def test_scenario_example_parses():
     assert {"d_c", "b_max", "h_f", "patience"} <= keys
     assert scenario.params.d_c == 60 and scenario.patience == 20
     assert scenario.equipped["E"] == ("road", "crossing", "helper")
+    # the named cells c0-c3 reach each other: one intersection, named cr
+    [cr] = scenario.topo.intersections
+    assert cr.id == "cr" and sorted(map(str, cr.segments)) == ["c0", "c1", "c2", "c3"]

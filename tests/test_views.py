@@ -9,7 +9,6 @@ from crossings.scenario import parse_scenario
 from crossings.snapshot import TrafficSnapshot, evolve
 from crossings.views import (
     Kind,
-    Orientation,
     build_multiview,
     car_fragment,
     twist,
@@ -56,8 +55,6 @@ class TestVirtualLanes:
         own = pairs[0]
         assert own.forward.nodes == path("7", "c0", "c1", "c2", "4")
         assert own.backward.nodes == path("6", "c3", "5")
-        assert own.forward.orientation is Orientation.SAME_AS_EGO
-        assert own.backward.orientation is Orientation.OPPOSITE_TO_EGO
 
     def test_forward_lane_starts_at_current_node(self, topo, ego_ts):
         for pair in virtual_lanes(topo, ego_ts, "E"):
@@ -309,7 +306,6 @@ class TestTwist:
         view = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0).views[0]
         flipped = twist(view)
         assert flipped.lanes[0].nodes == tuple(reversed(view.lanes[1].nodes))
-        assert flipped.lanes[0].orientation is Orientation.SAME_AS_EGO
         total = view.extent[0] + view.extent[1]
         for before, after in zip(view.lanes[0].spans,
                                  reversed(flipped.lanes[1].spans)):
