@@ -4,13 +4,13 @@ The AST builders give the exact logic-level formulation of every check the
 controllers use (reachable from concrete syntax as ``@ca``, ``@pc(c)``, ...).
 The ``geom_*`` functions compute the same predicates straight from the
 projected occupancy intervals; the controller engine and the safety monitor
-call these on every tick, so they avoid chop search where the pattern allows
-it.  They also project only the cars that can change the verdict: those whose
-node-local occupancy meets the ego's, or the stretch in question, on a shared
-network node (the broad phase in ``views``).  Only the one-lane condition of
-``ph`` builds a full evaluation context over every car.  ``test_formulas``
-pins both routes against each other on randomized snapshots, and the narrowed
-checks against all-car scans.
+call these on every tick, so they avoid the zone evaluator where the pattern
+allows it.  They also project only the cars that can change the verdict:
+those whose node-local occupancy meets the ego's, or the stretch in
+question, on a shared network node (the broad phase in ``views``).  Only the
+one-lane condition of ``ph`` builds a full evaluation context over every
+car.  ``test_formulas`` pins both routes against each other on randomized
+snapshots, and the narrowed checks against all-car scans.
 """
 
 from __future__ import annotations

@@ -5,20 +5,24 @@ space, crossing cells, reservations and claims; a horizontal chop splits the
 view at a point along the lanes, a vertical chop splits it between lanes.
 Satisfaction is checked against (snapshot, view, valuation).
 
-The evaluator searches chop points over a finite candidate set: occupancy
-interval endpoints, crossing-span boundaries, the slice endpoints, points at
-every length-comparison constant's distance from those, and midpoints of
-consecutive candidates.  Atom truth only changes at such points.  The
-length-constant shifts are capped, though: ``_Eval.chop_points`` adds them
-for at most ``min(chop depth, 3)`` rounds and stops adding once a slice has
-more than 1,500 points, so the search is exhaustive only within those caps.
-The test suite pits it against a dense-grid brute force.
+The evaluator is exact.  It computes the set of sub-slices [x1, x2] of the
+view on which each sub-formula holds, as a finite union of zones: convex
+sets cut out by difference constraints (x_i - x_j < c or <= c) over
+(0, x1, x2), kept as closed difference-bound matrices, the DBMs of
+timed-automata checkers.  Atoms hold inside exact interval bounds
+(lo <= x1 and x2 <= hi, no EPS widening) on slices longer than EPS:
+re/cl give one zone per merged run, cs one for the crossing span, free one
+per gap between the merged occupancy runs.  Negation, conjunction,
+quantifiers and the vertical chop are set operations; a horizontal chop
+joins its operands' zones at a shared middle point and eliminates it.  The
+formula holds on the view when the whole view is in its set.  There is no
+search and no cap.  The test suite pits it against a dense-grid brute force.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import le
 from .snapshot import TrafficSnapshot
 from .views import EPS, Kind, MultiView, View, car_fragments, merge_runs
 
@@ -182,39 +186,6 @@ class EvalContext:
         for lane_idx, ivs in raw_any.items():
             self.any_occ[lane_idx] = merge_runs(ivs)
         self.crossing_span = {i: view.crossing_span(i) for i in (0, 1)}
-        self._base_points = None
-
-    @property
-    def base_points(self):
-        """Interval endpoints where atom truth can flip (chop candidates)."""
-        if self._base_points is None:
-            base = set(self.extent)
-            for ivs in self.by_key.values():
-                for lo, hi in ivs:
-                    base.add(lo)
-                    base.add(hi)
-            for span in self.crossing_span.values():
-                if span:
-                    base.add(span[0])
-                    base.add(span[1])
-            self._base_points = _dedupe(sorted(base))
-        return self._base_points
-
-
-def _dedupe(values):
-    out = []
-    for v in values:
-        if not out or v - out[-1] > EPS:
-            out.append(v)
-    return out
-
-
-def _covered_by_one(intervals, x1, x2) -> bool:
-    i = bisect_right([lo for lo, _ in intervals], x1 + EPS) - 1
-    if i < 0:
-        return False
-    lo, hi = intervals[i]
-    return lo - EPS <= x1 and x2 <= hi + EPS
 
 
 def _intersects_open(intervals, x1, x2) -> bool:
@@ -224,22 +195,6 @@ def _intersects_open(intervals, x1, x2) -> bool:
         if hi > x1 + EPS:
             return True
     return False
-
-
-def _len_consts(f: Formula) -> set:
-    if isinstance(f, LenCmp):
-        return {f.d}
-    out = set()
-    for child in _children(f):
-        out |= _len_consts(child)
-    return out
-
-
-def _chop_depth(f: Formula) -> int:
-    if isinstance(f, HChop):
-        return 1 + max(_chop_depth(f.a), _chop_depth(f.b))
-    kids = _children(f)
-    return max((_chop_depth(k) for k in kids), default=0)
 
 
 def _children(f: Formula):
@@ -254,126 +209,210 @@ def _children(f: Formula):
     return ()
 
 
-class _Eval:
-    def __init__(self, ctx: EvalContext, f: Formula):
+# Zones.  A zone is a closed difference-bound matrix over (x0 = 0, x1, x2),
+# flattened row by row: entry 3*i + j bounds x_i - x_j.  A bound is (c, s),
+# s = -1 for '<' and 0 for '<=', so tuple order is tightness order.  A truth
+# set is a list of zones with no empty zone and no zone inside another.
+
+_INF = float("inf")
+_NONE = (_INF, 0)  # no bound
+_LE0 = (0.0, 0)
+_OPEN = (_LE0, _NONE, _NONE, _NONE, _LE0, _NONE, _NONE, _NONE, _LE0)
+_LEFT = [4 * p + q for p in (0, 1, 2) for q in (0, 1, 2)]   # (x0, x1, x)
+_RIGHT = [4 * p + q for p in (0, 2, 3) for q in (0, 2, 3)]  # (x0, x, x2)
+_OUTER = [4 * p + q for p in (0, 1, 3) for q in (0, 1, 3)]  # (x0, x1, x2)
+
+
+# Floyd-Warshall steps per matrix size: for k, then i != k, the entries
+# (i, k) and, for each j != k, (i, j) and (k, j).  Paths through k that start
+# or end at k cannot improve on a zero diagonal.
+_STEPS = {n: [(i * n + k, [(i * n + j, k * n + j) for j in range(n) if j != k])
+              for k in range(n) for i in range(n) if i != k] for n in (3, 4)}
+
+
+def _close(m, n: int):
+    """Floyd-Warshall closure of an n-variable matrix; None if it is empty."""
+    m = list(m)
+    for ik, row in _STEPS[n]:
+        ci, si = m[ik]
+        if ci == _INF:
+            continue
+        for ij, kj in row:
+            cj, sj = m[kj]
+            bound = (ci + cj, si if si < sj else sj)
+            if bound < m[ij]:
+                m[ij] = bound
+    if any(m[i * n + i] < _LE0 for i in range(n)):
+        return None
+    return tuple(m)
+
+
+def _constraints(*entries):
+    """The matrix with only the given (entry, bound) constraints."""
+    m = list(_OPEN)
+    for k, bound in entries:
+        m[k] = bound
+    return tuple(m)
+
+
+def _prune(zones) -> list:
+    """Drop empty and repeated zones and zones inside another."""
+    live = list(dict.fromkeys(z for z in zones if z is not None))
+    return [z for z in live
+            if not any(w is not z and all(map(le, z, w)) for w in live)]
+
+
+def _meet(zs, ws) -> list:
+    return _prune(_close(map(min, z, w), 3) for z in zs for w in ws)
+
+
+def _tighten(z, k: int, bound):
+    """Zone z with entry k = 3*i + j tightened to bound, closed again in one
+    pass over the paths through the new edge; None if that empties it."""
+    if bound >= z[k]:
+        return z
+    i, j = divmod(k, 3)
+    c, s = bound
+    cji, sji = z[3 * j + i]
+    if (c + cji, min(s, sji)) < _LE0:
+        return None
+    m = list(z)
+    for p in range(3):
+        cp, sp = z[3 * p + i]
+        if cp == _INF:
+            continue
+        cp, sp = cp + c, sp if sp < s else s
+        for q in range(3):
+            cq, sq = z[3 * j + q]
+            path = (cp + cq, sp if sp < sq else sq)
+            if path < m[3 * p + q]:
+                m[3 * p + q] = path
+    return tuple(m)
+
+
+def _minus(zs, ws) -> list:
+    """zs without the union of ws: each w is cut away through its negated
+    constraints, x_j - x_i < -c for x_i - x_j <= c and <= -c for < c.  A z
+    that one cut leaves whole is disjoint from w and stays as it is."""
+    for w in ws:
+        cuts = [(3 * (k % 3) + k // 3, (-c, -1 - s))
+                for k, (c, s) in enumerate(w) if k % 4 and c != _INF]
+        out = []
+        for z in zs:
+            pieces = [_tighten(z, k, bound) for k, bound in cuts]
+            out += [z] if z in pieces else pieces
+        zs = _prune(out)
+    return zs
+
+
+def _chop(zs, ws) -> list:
+    """Slices [x1, x2] split by some x into a zs slice [x1, x] and a ws
+    slice [x, x2]: the two zones joined over (x0, x1, x, x2), x eliminated."""
+    out = []
+    for z in zs:
+        for w in ws:
+            m = [_NONE] * 16
+            for k, bound in zip(_LEFT, z):
+                m[k] = bound
+            for k, bound in zip(_RIGHT, w):
+                m[k] = min(m[k], bound)
+            m = _close(m, 4)
+            if m is not None:
+                out.append(tuple(m[k] for k in _OUTER))
+    return _prune(out)
+
+
+def _slices(lo, hi) -> tuple:
+    """lo <= x1 and x2 <= hi, with x2 - x1 > EPS."""
+    return _constraints((1, (-lo, 0)), (5, (-EPS, -1)), (6, (hi, 0)))
+
+
+def _length(op: str, d: float) -> tuple:
+    if op == "<":
+        return _constraints((7, (d - EPS, -1)))
+    if op == ">":
+        return _constraints((5, (-d - EPS, -1)))
+    return _constraints((7, (d + EPS, 0)), (5, (EPS - d, 0)))
+
+
+class _Zones:
+    """Truth sets over the sub-slices of one view, memoised per sub-formula,
+    valuation and lane set."""
+
+    def __init__(self, ctx: EvalContext):
         self.ctx = ctx
+        a, b = ctx.extent
+        # the domain a <= x1 <= x2 <= b
+        domain = _close(_constraints((1, (-a, 0)), (2, (-a, 0)), (3, (b, 0)),
+                                     (5, _LE0), (6, (b, 0))), 3)
+        self.all = [domain] if domain else []
         self.memo: dict = {}
-        self.chop_cache: dict = {}
-        self.consts = sorted(_len_consts(f))
-        self.rounds = min(_chop_depth(f), 3)
 
-    def chop_points(self, x1, x2):
-        key = (x1, x2)
-        cached = self.chop_cache.get(key)
-        if cached is not None:
-            return cached
-        base = self.ctx.base_points
-        pts = {round(x1, 9): x1, round(x2, 9): x2}
-        lo_i = bisect_left(base, x1)
-        hi_i = bisect_right(base, x2)
-        pts.update((round(p, 9), p) for p in base[lo_i:hi_i])
-        if self.consts:
-            frontier = dict(pts)
-            for _ in range(self.rounds):
-                new = {}
-                for p in frontier.values():
-                    for d in self.consts:
-                        for cand in (p + d, p - d):
-                            if x1 < cand < x2:
-                                key = round(cand, 9)
-                                if key not in pts and key not in new:
-                                    new[key] = cand
-                pts.update(new)
-                if not new or len(pts) > 1500:
-                    break
-                frontier = new
-        ordered = _dedupe(sorted(pts.values()))
-        with_mids = []
-        for i, p in enumerate(ordered):
-            with_mids.append(p)
-            if i + 1 < len(ordered):
-                with_mids.append((p + ordered[i + 1]) / 2.0)
-        self.chop_cache[key] = with_mids
-        return with_mids
+    def holds(self, zones) -> bool:
+        """Is the whole view [a, b] in the truth set?"""
+        a, b = self.ctx.extent
+        v = (0.0, a, b)
+        return any(all((v[k // 3] - v[k % 3], 0) <= bound for k, bound in enumerate(z))
+                   for z in zones)
 
-    def run(self, f, nu, nu_token, lanes, x1, x2) -> bool:
-        key = (id(f), nu_token, lanes, x1, x2)
+    def run(self, f, nu, nu_token, lanes) -> list:
+        key = (id(f), nu_token, lanes)
         hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(f, nu, nu_token, lanes, x1, x2)
-        self.memo[key] = out
-        return out
+        if hit is None:
+            hit = self.memo[key] = self._eval(f, nu, nu_token, lanes)
+        return hit
 
-    def _lookup(self, nu, var):
-        try:
-            return nu[var]
-        except KeyError:
-            raise LogicError(f"unbound variable {var!r}") from None
+    def _runs(self, f, nu, lane) -> list:
+        """The intervals inside which a one-lane atom holds on a slice."""
+        ctx = self.ctx
+        if isinstance(f, Free):
+            ends = [-_INF] + [p for run in ctx.any_occ.get(lane, []) for p in run] + [_INF]
+            return list(zip(ends[::2], ends[1::2]))
+        if isinstance(f, Cs):
+            span = ctx.crossing_span.get(lane)
+            return [span] if span else []
+        kind = Kind.RESERVED if isinstance(f, Re) else Kind.CLAIMED
+        return ctx.by_key.get((lane, kind, nu[f.var]), [])
 
-    def _eval(self, f, nu, nu_token, lanes, x1, x2) -> bool:
+    def _eval(self, f, nu, nu_token, lanes) -> list:
         ctx = self.ctx
         if isinstance(f, TrueF):
-            return True
+            return self.all
         if isinstance(f, Eq):
-            return self._lookup(nu, f.u) == self._lookup(nu, f.v)
+            return self.all if nu[f.u] == nu[f.v] else []
         if isinstance(f, SetDisjoint):
-            u, v = self._lookup(nu, f.u), self._lookup(nu, f.v)
-            return not (frozenset(u) & frozenset(v))
-        if isinstance(f, LenCmp):
-            length = x2 - x1
-            if f.op == "<":
-                return length < f.d - EPS
-            if f.op == ">":
-                return length > f.d + EPS
-            return abs(length - f.d) <= EPS
-        if isinstance(f, Free):
-            if len(lanes) != 1 or x2 - x1 <= EPS:
-                return False
-            return not _intersects_open(ctx.any_occ.get(lanes[0], []), x1, x2)
-        if isinstance(f, Cs):
-            if len(lanes) != 1 or x2 - x1 <= EPS:
-                return False
-            span = ctx.crossing_span.get(lanes[0])
-            return span is not None and span[0] - EPS <= x1 and x2 <= span[1] + EPS
-        if isinstance(f, (Re, Cl)):
-            if len(lanes) != 1 or x2 - x1 <= EPS:
-                return False
-            kind = Kind.RESERVED if isinstance(f, Re) else Kind.CLAIMED
-            car = self._lookup(nu, f.var)
-            ivs = ctx.by_key.get((lanes[0], kind, car), [])
-            return _covered_by_one(ivs, x1, x2)
+            return [] if frozenset(nu[f.u]) & frozenset(nu[f.v]) else self.all
         if isinstance(f, Dir):
-            car = self._lookup(nu, f.var)
-            return car in ctx.visible and bool(ctx.heading.get(car))
+            car = nu[f.var]
+            return self.all if car in ctx.visible and ctx.heading.get(car) else []
+        if isinstance(f, LenCmp):
+            return _meet(self.all, [_length(f.op, f.d)])
+        if isinstance(f, (Free, Cs, Re, Cl)):
+            if len(lanes) != 1:
+                return []
+            return _meet(self.all, [_slices(lo, hi) for lo, hi in self._runs(f, nu, lanes[0])])
         if isinstance(f, Not):
-            return not self.run(f.f, nu, nu_token, lanes, x1, x2)
+            return _minus(self.all, self.run(f.f, nu, nu_token, lanes))
         if isinstance(f, And):
-            return self.run(f.a, nu, nu_token, lanes, x1, x2) and self.run(
-                f.b, nu, nu_token, lanes, x1, x2
-            )
+            left = self.run(f.a, nu, nu_token, lanes)
+            return _meet(left, self.run(f.b, nu, nu_token, lanes)) if left else []
         if isinstance(f, Exists):
+            out = []
             for cid in ctx.car_ids:
                 child = dict(nu)
                 child[f.var] = cid
-                if self.run(f.f, child, nu_token + ((f.var, cid),), lanes, x1, x2):
-                    return True
-            return False
+                out += self.run(f.f, child, nu_token + ((f.var, cid),), lanes)
+            return _prune(out)
         if isinstance(f, VChop):
+            out = []
             for t in range(len(lanes) + 1):
                 lower, upper = lanes[:t], lanes[t:]
-                if self.run(f.upper, nu, nu_token, upper, x1, x2) and self.run(
-                    f.lower, nu, nu_token, lower, x1, x2
-                ):
-                    return True
-            return False
+                out += _meet(self.run(f.upper, nu, nu_token, upper),
+                             self.run(f.lower, nu, nu_token, lower))
+            return _prune(out)
         if isinstance(f, HChop):
-            for x in self.chop_points(x1, x2):
-                if self.run(f.a, nu, nu_token, lanes, x1, x) and self.run(
-                    f.b, nu, nu_token, lanes, x, x2
-                ):
-                    return True
-            return False
+            left = self.run(f.a, nu, nu_token, lanes)
+            return _chop(left, self.run(f.b, nu, nu_token, lanes)) if left else []
         raise LogicError(f"cannot evaluate node {type(f).__name__}")
 
 
@@ -408,9 +447,8 @@ def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
     unbound = free_variables(f) - set(nu)
     if unbound:
         raise LogicError(f"unbound variable {sorted(unbound)[0]!r}")
-    ctx = _context(ts, view)
-    a, b = view.extent
-    return _Eval(ctx, f).run(f, nu, (), (0, 1), a, b)
+    zones = _Zones(_context(ts, view))
+    return zones.holds(zones.run(f, nu, (), (0, 1)))
 
 
 def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,

@@ -141,12 +141,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             continue
         if section == "network":
             parts = line.split()
-            if parts[0] == "lane" and len(parts) == 3:
-                weights[_node(line_no, parts[1])] = _parse_float(line_no, parts[2], "weight")
-            elif parts[0] == "cs" and len(parts) == 3:
+            if parts[0] in ("lane", "cs") and len(parts) == 3:
                 node = _node(line_no, parts[1])
-                if not node.is_crossing:
-                    _err(line_no, f"{parts[1]} is not a crossing segment id")
+                if node.is_crossing != (parts[0] == "cs"):
+                    kind = "crossing segment" if parts[0] == "cs" else "lane"
+                    _err(line_no, f"{parts[1]} is not a {kind} id")
                 weights[node] = _parse_float(line_no, parts[2], "weight")
             elif parts[0] == "edge" and len(parts) == 3:
                 directed.append((_node(line_no, parts[1]), _node(line_no, parts[2])))

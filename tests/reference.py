@@ -1,8 +1,8 @@
 """Brute-force reference evaluation of formulas over a dense chop grid.
 
-This is the slow, obviously-correct counterpart of the candidate-point
-evaluator in ``logic``: the view axis is sampled with a fixed dense grid and
-every horizontal chop exhaustively tries every grid point inside its slice.
+This is the slow, obviously-correct counterpart of the zone evaluator in
+``logic``: the view axis is sampled with a fixed dense grid and every
+horizontal chop exhaustively tries every grid point inside its slice.
 Truth tables over all grid sub-slices are held as boolean matrices; a chop
 is then an or-and matrix product.  Demands are propagated lazily (a single
 entry only ever needs one row and one column of its operands) so that deeply

@@ -24,6 +24,14 @@ class TestCheck:
         assert main(["check", "left-turn", "--formula", "@ca",
                      "--car", "E", "--mode", "exists"]) == 0
 
+    def test_potential_helper(self, capsys):
+        # D approaches the crossing from the opposite side in E's first view
+        # only, so @ph(D) holds in some view of E but not in all of them
+        assert main(["check", "left-turn", "--formula", "@ph(D)", "--car", "E",
+                     "--mode", "exists"]) == 0
+        assert main(["check", "left-turn", "--formula", "@ph(D)", "--car", "E"]) == 1
+        assert capsys.readouterr().out.split() == ["true", "false"]
+
     def test_unknown_car(self, capsys):
         code = main(["check", "left-turn", "--formula", "true", "--car", "Z"])
         assert code == 2
@@ -73,6 +81,16 @@ class TestMalformedScenario:
         code, err = self.run_edited(tmp_path, capsys, "lane 0 150", "lane x 100")
         assert code == 2
         assert "bad node id 'x'" in err and "line 4" in err
+
+    def test_crossing_id_on_a_lane_line(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "cs c3 5", "lane c3 5")
+        assert code == 2
+        assert "c3 is not a lane id" in err and "line 15" in err
+
+    def test_lane_id_on_a_cs_line(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "cs c3 5", "cs 3 5")
+        assert code == 2
+        assert "3 is not a crossing segment id" in err and "line 15" in err
 
     def test_unnamed_intersection(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "intersection cr =", "intersection =")

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from crossings import logic
 from crossings.logic import (
+    EPS,
     And,
     Cl,
     Cs,
     Dir,
     Eq,
+    EvalContext,
     Exists,
     Free,
     HChop,
@@ -18,6 +21,7 @@ from crossings.logic import (
     Re,
     TRUE,
     VChop,
+    chops,
     default_valuation,
     eval_formula,
     eval_multiview,
@@ -28,9 +32,11 @@ from crossings.logic import (
 )
 from crossings.network import NodeId, cs, lane
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import build_multiview, twist
+from crossings.views import Kind, build_multiview, twist
 
 from conftest import make_car
+from gridgen import GRID_POINTS, random_scene
+from reference import oracle_eval
 
 
 def path(*names):
@@ -270,7 +276,6 @@ class TestInvert:
 
 
 class TestChopLaws:
-    @pytest.mark.slow
     def test_associativity(self, busy, busy_mv):
         rng = random.Random(4)
         nu = default_valuation(busy, "E")
@@ -289,3 +294,63 @@ class TestChopLaws:
         assert eval_formula(busy, busy_mv.views[0], nu, parse("(l = 0) ; true"))
         assert eval_formula(busy, busy_mv.views[0], nu, parse("true ; (l = 0)"))
         assert not eval_formula(busy, busy_mv.views[0], nu, parse("cs ; true"))
+
+
+class TestExactness:
+    """Closed-form answers: chops of any depth, exact atom bounds."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_equal_parts_tile_the_view(self, busy, busy_mv, k):
+        # k parts of length d within EPS each: the whole view is tiled
+        # exactly when k * d is within k * EPS of its length
+        view = busy_mv.views[0]
+        nu = default_valuation(busy, "E")
+        a, b = view.extent
+        d = (b - a) / k
+
+        def tiles(part):
+            return eval_formula(busy, view, nu, chops(*[LenCmp("=", part)] * k))
+
+        assert tiles(d)
+        assert tiles(d + 0.5 * EPS) and tiles(d - 0.5 * EPS)
+        assert not tiles(d + 2 * EPS) and not tiles(d - 2 * EPS)
+
+    def with_runs(self, monkeypatch, busy, view, claim, reservation):
+        ctx = EvalContext(busy, view)
+        ctx.by_key[(0, Kind.CLAIMED, "E")] = [claim]
+        ctx.by_key[(0, Kind.RESERVED, "D")] = [reservation]
+        monkeypatch.setattr(logic, "_context", lambda ts, v: ctx)
+        return eval_formula(busy, view, default_valuation(busy, "E"),
+                            parse("<cl(E) & re(D)>"))
+
+    def test_touching_runs_do_not_overlap(self, monkeypatch, busy, busy_mv):
+        # atom bounds are exact: a claim that ends where a reservation
+        # starts shares no slice longer than EPS with it
+        view = busy_mv.views[0]
+        p = sum(view.extent) / 2
+        assert not self.with_runs(monkeypatch, busy, view, (p - 5, p), (p, p + 5))
+        assert self.with_runs(monkeypatch, busy, view, (p - 5, p), (p - 2 * EPS, p + 5))
+
+    def test_touching_crossing_cells_do_not_overlap(self, topo):
+        # E claims c1 and reserves c2, the next cell on its path
+        cars = {"E": make_car(path("7", "c0", "c1", "c2", "4"), 100.0, speed=8.0,
+                              cclm=frozenset({NodeId.parse("c1")}),
+                              cres=frozenset({NodeId.parse("c2")}))}
+        ts = TrafficSnapshot(cars, topo.net)
+        view = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0).views[0]
+        nu = default_valuation(ts, "E")
+        assert eval_formula(ts, view, nu, parse("<cl(E) ; re(E)>"))
+        assert not eval_formula(ts, view, nu, parse("<cl(E) & re(E)>"))
+
+    def test_five_chops_with_three_length_constants(self):
+        f = parse("[true / true ; l < 1.73 ; l = 10.25 ; free & l > 11.01"
+                  " ; free & l > 13.28]")
+        rng = random.Random(8)
+        verdicts = set()
+        for _ in range(6):
+            ts, view = random_scene(rng)
+            nu = default_valuation(ts, "E")
+            got = eval_formula(ts, view, nu, f)
+            assert got == oracle_eval(ts, view, nu, f, points=GRID_POINTS)
+            verdicts.add(got)
+        assert verdicts == {True, False}

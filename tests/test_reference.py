@@ -1,4 +1,4 @@
-"""Candidate-point evaluator versus the dense-grid brute force."""
+"""Zone evaluator versus the dense-grid brute force."""
 
 import random
 
@@ -33,3 +33,7 @@ def test_medium_formulas_agree():
 
 def test_deep_formulas_agree():
     duel(seed=300, rounds=30, max_depth=4)
+
+
+def test_very_deep_formulas_agree():
+    duel(seed=400, rounds=100, max_depth=6)
