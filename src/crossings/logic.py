@@ -17,6 +17,18 @@ quantifiers and the vertical chop are set operations; a horizontal chop
 joins its operands' zones at a shared middle point and eliminates it.  The
 formula holds on the view when the whole view is in its set.  There is no
 search and no cap.  The test suite pits it against a dense-grid brute force.
+
+Set identities save work; each is exact because every truth set lies inside
+the domain D, the sub-slices of the view:
+- a | b, which ``ors`` writes as !(!a & !b), is the union A + B:
+  D - ((D - A) & (D - B)) = A + B for A and B inside D;
+- D & X = X in conjunction and vertical chop, since X lies inside D;
+- !{} = D (``_minus`` of nothing hands D back) and !D = {};
+- E x. evaluates its body for one car off the view that no free variable
+  of the body names, not for each: such cars are interchangeable, as
+  swapping two maps the context onto itself (their runs are empty, dir is
+  false for them, = tells them apart only from named cars, and @disjoint
+  refuses car ids).
 """
 
 from __future__ import annotations
@@ -258,6 +270,8 @@ def _constraints(*entries):
 def _prune(zones) -> list:
     """Drop empty and repeated zones and zones inside another."""
     live = list(dict.fromkeys(z for z in zones if z is not None))
+    if len(live) < 2:
+        return live
     return [z for z in live
             if not any(w is not z and all(map(le, z, w)) for w in live)]
 
@@ -347,6 +361,7 @@ class _Zones:
                                      (5, _LE0), (6, (b, 0))), 3)
         self.all = [domain] if domain else []
         self.memo: dict = {}
+        self.free: dict = {}  # id(Exists node) -> free variables of it
 
     def holds(self, zones) -> bool:
         """Is the whole view [a, b] in the truth set?"""
@@ -374,6 +389,12 @@ class _Zones:
         kind = Kind.RESERVED if isinstance(f, Re) else Kind.CLAIMED
         return ctx.by_key.get((lane, kind, nu[f.var]), [])
 
+    def _meet(self, zs, ws) -> list:
+        """zs & ws, with D & X = X: every truth set lies inside D."""
+        if zs is self.all:
+            return ws
+        return zs if ws is self.all else _meet(zs, ws)
+
     def _eval(self, f, nu, nu_token, lanes) -> list:
         ctx = self.ctx
         if isinstance(f, TrueF):
@@ -381,7 +402,7 @@ class _Zones:
         if isinstance(f, Eq):
             return self.all if nu[f.u] == nu[f.v] else []
         if isinstance(f, SetDisjoint):
-            return [] if frozenset(nu[f.u]) & frozenset(nu[f.v]) else self.all
+            return [] if nu[f.u] & nu[f.v] else self.all
         if isinstance(f, Dir):
             car = nu[f.var]
             return self.all if car in ctx.visible and ctx.heading.get(car) else []
@@ -392,13 +413,30 @@ class _Zones:
                 return []
             return _meet(self.all, [_slices(lo, hi) for lo, hi in self._runs(f, nu, lanes[0])])
         if isinstance(f, Not):
-            return _minus(self.all, self.run(f.f, nu, nu_token, lanes))
+            g = f.f
+            if isinstance(g, And) and isinstance(g.a, Not) and isinstance(g.b, Not):
+                # a | b: D - ((D - A) & (D - B)) = A | B for A, B inside D
+                return _prune(self.run(g.a.f, nu, nu_token, lanes)
+                              + self.run(g.b.f, nu, nu_token, lanes))
+            inner = self.run(g, nu, nu_token, lanes)
+            return [] if inner is self.all else _minus(self.all, inner)
         if isinstance(f, And):
             left = self.run(f.a, nu, nu_token, lanes)
-            return _meet(left, self.run(f.b, nu, nu_token, lanes)) if left else []
+            return self._meet(left, self.run(f.b, nu, nu_token, lanes)) if left else []
         if isinstance(f, Exists):
+            # the first car off the view that no free variable names stands
+            # in for all such cars
+            free = self.free.get(id(f))
+            if free is None:
+                free = self.free[id(f)] = free_variables(f)
+            named = [nu[v] for v in free]
             out = []
+            stood_in = False
             for cid in ctx.car_ids:
+                if cid not in ctx.visible and cid not in named:
+                    if stood_in:
+                        continue
+                    stood_in = True
                 child = dict(nu)
                 child[f.var] = cid
                 out += self.run(f.f, child, nu_token + ((f.var, cid),), lanes)
@@ -407,8 +445,8 @@ class _Zones:
             out = []
             for t in range(len(lanes) + 1):
                 lower, upper = lanes[:t], lanes[t:]
-                out += _meet(self.run(f.upper, nu, nu_token, upper),
-                             self.run(f.lower, nu, nu_token, lower))
+                out += self._meet(self.run(f.upper, nu, nu_token, upper),
+                                  self.run(f.lower, nu, nu_token, lower))
             return _prune(out)
         if isinstance(f, HChop):
             left = self.run(f.a, nu, nu_token, lanes)
@@ -440,15 +478,36 @@ def free_variables(f: Formula, bound: frozenset = frozenset()) -> set:
     return out
 
 
-def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
-    """Does the formula hold on the full view under the given valuation?"""
+def _disjoint_operands(f: Formula, bound: frozenset = frozenset()) -> list:
+    """(variable, bound by a quantifier) for each operand of each @disjoint."""
+    if isinstance(f, SetDisjoint):
+        return [(v, v in bound) for v in (f.u, f.v)]
+    if isinstance(f, Exists):
+        bound = bound | {f.var}
+    return [op for child in _children(f) for op in _disjoint_operands(child, bound)]
+
+
+def _check(nu: dict, f: Formula) -> None:
+    """Every free variable is bound, and @disjoint reads only sets."""
     if "ego" not in nu:
         raise LogicError("valuation must bind 'ego'")
     unbound = free_variables(f) - set(nu)
     if unbound:
         raise LogicError(f"unbound variable {sorted(unbound)[0]!r}")
+    for var, quantified in _disjoint_operands(f):
+        if quantified or not isinstance(nu[var], (set, frozenset)):
+            raise LogicError(f"@disjoint needs sets, {var!r} is not bound to one")
+
+
+def _holds(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
     zones = _Zones(_context(ts, view))
     return zones.holds(zones.run(f, nu, (), (0, 1)))
+
+
+def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
+    """Does the formula hold on the full view under the given valuation?"""
+    _check(nu, f)
+    return _holds(ts, view, nu, f)
 
 
 def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,
@@ -458,7 +517,8 @@ def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,
         raise LogicError("empty multi-view")
     if mode not in ("forall", "exists"):
         raise LogicError(f"unknown mode {mode!r}")
-    results = (eval_formula(ts, v, nu, f) for v in mv.views)
+    _check(nu, f)
+    results = (_holds(ts, v, nu, f) for v in mv.views)
     return all(results) if mode == "forall" else any(results)
 
 

@@ -26,11 +26,13 @@ from crossings.logic import (
     Re,
     TRUE,
     VChop,
+    ors,
+    somewhere,
 )
 from crossings.network import NodeId
 from crossings.randomgen import ROUTES, demo_topology
 from crossings.snapshot import CarState, TrafficSnapshot
-from crossings.views import build_multiview
+from crossings.views import build_multiview, car_fragment
 
 H_B = 10.0
 H_F = 39.95
@@ -45,13 +47,22 @@ def q(rng: random.Random, lo: float, hi: float) -> float:
     return lo + 0.25 * rng.randint(0, steps)
 
 
-def random_scene(rng: random.Random, max_cars: int = 5):
-    """A snapshot around the demo crossing plus one of the ego's views."""
+def random_scene(rng: random.Random, max_cars: int = 5, off_view: int = 0):
+    """A snapshot around the demo crossing plus one of the ego's views;
+    drawn again until at least ``off_view`` cars have no fragment on it."""
+    while True:
+        ts, view = _scene(rng, max_cars)
+        if not off_view or sum(not car_fragment(ts, c, view).intervals
+                               for c in ts.cars) >= off_view:
+            return ts, view
+
+
+def _scene(rng: random.Random, max_cars: int):
     n_cars = rng.randint(1, max_cars)
     cars = {}
     entries = [7, 1, 3, 5]
     rng.shuffle(entries)
-    names = ["E", "B", "C", "D", "F"][:n_cars]
+    names = ["E", "B", "C", "D", "F", "G", "H"][:n_cars]
     for i, name in enumerate(names):
         entry = entries[i % 4]
         intent = rng.choice(("right", "straight", "left"))
@@ -91,7 +102,11 @@ def random_scene(rng: random.Random, max_cars: int = 5):
     return ts, view
 
 
-def random_formula(rng: random.Random, depth: int, car_vars):
+def random_formula(rng: random.Random, depth: int, car_vars, identities: bool = False):
+    """A random formula; ``identities`` adds the shapes the evaluator's set
+    identities meet: disjunctions (the ``ors`` shape), two occupancy atoms
+    meeting somewhere (the protocol's overlap shape), quantifiers over fresh
+    variable names and equalities between quantified variables."""
     atoms = [
         lambda: TRUE,
         lambda: Free(),
@@ -102,27 +117,40 @@ def random_formula(rng: random.Random, depth: int, car_vars):
         lambda: Eq(rng.choice(car_vars), rng.choice(car_vars)),
         lambda: LenCmp(rng.choice("<>="), q(rng, 0.25, 12.0)),
     ]
+    ops = ["atom", "not", "and", "and", "hchop", "hchop", "vchop", "exists"]
+    bound = [v for v in car_vars if v.startswith("v")]
+    if identities:
+        ops += ["or"] * 3 + ["exists"] * 3 + ["meet"] * 4
+        if bound:
+            atoms.append(lambda: Eq(rng.choice(bound), rng.choice(car_vars)))
     if depth <= 1:
         return rng.choice(atoms)()
-    op = rng.choice(("atom", "not", "and", "and", "hchop", "hchop", "vchop",
-                     "exists"))
+    op = rng.choice(ops)
+    sub = lambda: random_formula(rng, depth - 1, car_vars, identities)  # noqa: E731
     if op == "atom":
         return rng.choice(atoms)()
     if op == "not":
-        return Not(random_formula(rng, depth - 1, car_vars))
+        return Not(sub())
     if op == "and":
-        return And(random_formula(rng, depth - 1, car_vars),
-                   random_formula(rng, depth - 1, car_vars))
+        return And(sub(), sub())
+    if op == "or":
+        return ors(sub(), sub())
     if op == "hchop":
-        return HChop(random_formula(rng, depth - 1, car_vars),
-                     random_formula(rng, depth - 1, car_vars))
+        return HChop(sub(), sub())
+    if op == "meet":
+        return somewhere(And(rng.choice(atoms[1:5])(), rng.choice(atoms[1:5])()))
     if op == "vchop":
-        return VChop(random_formula(rng, depth - 1, car_vars),
-                     random_formula(rng, depth - 1, car_vars))
-    return Exists("v", random_formula(rng, depth - 1, tuple(car_vars) + ("v",)))
+        return VChop(sub(), sub())
+    var = f"v{len(bound)}" if identities else "v"
+    return Exists(var, random_formula(rng, depth - 1, tuple(car_vars) + (var,), identities))
 
 
-def random_instance(rng: random.Random, max_depth: int = 4):
-    ts, view = random_scene(rng)
-    f = random_formula(rng, rng.randint(1, max_depth), tuple(sorted(ts.cars)))
+def random_instance(rng: random.Random, max_depth: int = 4, identities: bool = False):
+    """A scene and a formula over its cars; ``identities`` draws up to seven
+    cars, at least two of them off the view, and the identity-rich formulas."""
+    if identities:
+        ts, view = random_scene(rng, max_cars=7, off_view=2)
+    else:
+        ts, view = random_scene(rng)
+    f = random_formula(rng, rng.randint(1, max_depth), tuple(sorted(ts.cars)), identities)
     return ts, view, f

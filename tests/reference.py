@@ -62,21 +62,21 @@ class GridOracle:
         bound = np.full(self.n, np.inf)
         ptr = 0
         for i, xi in enumerate(self.x):
-            while ptr < len(ivs) and ivs[ptr][1] <= xi + EPS:
+            while ptr < len(ivs) and ivs[ptr][1] <= xi:
                 ptr += 1
             if ptr < len(ivs):
                 bound[i] = ivs[ptr][0]
-        return self.tri & (self.length > EPS) & (self.x[None, :] <= bound[:, None] + EPS)
+        return self.tri & (self.length > EPS) & (self.x[None, :] <= bound[:, None])
 
     def _contained(self, ivs):
         reach = np.full(self.n, -np.inf)
         ptr = -1
         for i, xi in enumerate(self.x):
-            while ptr + 1 < len(ivs) and ivs[ptr + 1][0] <= xi + EPS:
+            while ptr + 1 < len(ivs) and ivs[ptr + 1][0] <= xi:
                 ptr += 1
-            if ptr >= 0 and xi <= ivs[ptr][1] + EPS:
+            if ptr >= 0 and xi <= ivs[ptr][1]:
                 reach[i] = ivs[ptr][1]
-        return self.tri & (self.length > EPS) & (self.x[None, :] <= reach[:, None] + EPS)
+        return self.tri & (self.length > EPS) & (self.x[None, :] <= reach[:, None])
 
     def _cs(self, lane: int):
         span = self.ctx.crossing_span.get(lane)
@@ -86,8 +86,8 @@ class GridOracle:
         return (
             self.tri
             & (self.length > EPS)
-            & (self.x[:, None] >= lo - EPS)
-            & (self.x[None, :] <= hi + EPS)
+            & (self.x[:, None] >= lo)
+            & (self.x[None, :] <= hi)
         )
 
     # -- demand-driven evaluation ---------------------------------------------
@@ -115,7 +115,9 @@ class GridOracle:
             return self._const(self._lookup(nu, f.u) == self._lookup(nu, f.v))
         if isinstance(f, SetDisjoint):
             u, v = self._lookup(nu, f.u), self._lookup(nu, f.v)
-            return self._const(not (frozenset(u) & frozenset(v)))
+            if not isinstance(u, (set, frozenset)) or not isinstance(v, (set, frozenset)):
+                raise LogicError("@disjoint needs sets")
+            return self._const(not (u & v))
         if isinstance(f, Dir):
             car = self._lookup(nu, f.var)
             return self._const(car in self.ctx.visible and bool(self.ctx.heading.get(car)))

@@ -32,6 +32,12 @@ class TestCheck:
         assert main(["check", "left-turn", "--formula", "@ph(D)", "--car", "E"]) == 1
         assert capsys.readouterr().out.split() == ["true", "false"]
 
+    def test_disjoint_of_car_ids_is_an_error(self, capsys):
+        # car ids are not sets of cells; their letters must not decide
+        for text, var in (("@disjoint(ego, B)", "'ego'"), ("@disjoint(D, D)", "'D'")):
+            assert main(["check", "left-turn", "--formula", text, "--car", "E"]) == 2
+            assert var in capsys.readouterr().err
+
     def test_unknown_car(self, capsys):
         code = main(["check", "left-turn", "--formula", "true", "--car", "Z"])
         assert code == 2

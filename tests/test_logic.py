@@ -184,6 +184,23 @@ class TestEval:
         with pytest.raises(LogicError, match="unbound"):
             eval_formula(busy, busy_mv.views[0], nu, Re("nobody"))
 
+    def test_disjoint_needs_sets(self, busy, busy_mv):
+        # car ids are strings: comparing their letters would be a verdict
+        view = busy_mv.views[0]
+        nu = default_valuation(busy, "E")
+        nu["cells"] = frozenset({cs(0)})
+        nu["more"] = frozenset({cs(1)})
+        with pytest.raises(LogicError, match="'ego'"):
+            eval_formula(busy, view, nu, parse("@disjoint(ego, cells)"))
+        with pytest.raises(LogicError, match="'B'"):
+            eval_formula(busy, view, nu, parse("@disjoint(cells, B)"))
+        with pytest.raises(LogicError, match="'c'"):
+            eval_formula(busy, view, nu, parse("E c. @disjoint(c, cells)"))
+        with pytest.raises(LogicError, match="'ego'"):
+            eval_formula(busy, view, nu, parse("cs & @disjoint(ego, cells)"))
+        assert eval_formula(busy, view, nu, parse("@disjoint(cells, more)"))
+        assert not eval_formula(busy, view, nu, parse("@disjoint(cells, cells)"))
+
     def test_exists_ranges_over_snapshot_cars(self, busy, busy_mv):
         nu = default_valuation(busy, "E")
         f = parse("E c. (<re(c) & cs>)")
