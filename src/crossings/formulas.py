@@ -7,10 +7,10 @@ projected occupancy intervals; the controller engine and the safety monitor
 call these on every tick, so they avoid the zone evaluator where the pattern
 allows it.  They also project only the cars that can change the verdict:
 those whose node-local occupancy meets the ego's, or the stretch in
-question, on a shared network node (the broad phase in ``views``).  Only the
-one-lane condition of ``ph`` builds a full evaluation context over every
-car.  ``test_formulas`` pins both routes against each other on randomized
-snapshots, and the narrowed checks against all-car scans.
+question, on a shared network node (the broad phase in ``views``); none
+reads every car.  ``test_formulas`` pins both routes against each other on
+randomized snapshots and on scenes where the guards are true, and the
+narrowed checks against all-car scans.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .logic import (
     Cs,
     Dir,
     Eq,
-    EvalContext,
     Exists,
     Formula,
     Free,
@@ -33,7 +32,6 @@ from .logic import (
     Re,
     SetDisjoint,
     TRUE,
-    _context,
     _intersects_open,
     ands,
     chops,
@@ -164,10 +162,6 @@ def builtin(name: str, args: list, params: Optional[ProtocolParams]) -> Formula:
 # direct interval checks
 
 
-def _res(ctx: EvalContext, lane: int, car: str):
-    return ctx.by_key.get((lane, Kind.RESERVED, car), [])
-
-
 def _overlap_pos(a, b) -> bool:
     i = j = 0
     while i < len(a) and j < len(b):
@@ -216,15 +210,21 @@ def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
     return False
 
 
-def _occupied(ts: TrafficSnapshot, view: View, lane: int, lo: float, hi: float):
-    """Merged runs, of every kind, of the cars on the nodes whose spans on
-    the lane meet [lo, hi]: all of the lane's occupancy that can reach into
-    that stretch (the broad phase in `views`)."""
-    near = [(s.node, 0.0, ts.net.weights[s.node]) for s in view.lanes[lane].spans
+def _near_fragments(ts: TrafficSnapshot, view: View, stretches) -> list:
+    """The merged runs ((lane, kind) -> runs) of each car on the nodes whose
+    spans meet one of the (lane, lo, hi) stretches: of every car whose runs
+    can reach into one of them (the broad phase in `views`)."""
+    near = [(s.node, 0.0, ts.net.weights[s.node])
+            for lane, lo, hi in stretches for s in view.lanes[lane].spans
             if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
+    return [car_fragment(ts, c, view).merged
+            for c in cars_meeting(ts, near, view.owner, claims=True)]
+
+
+def _occupied(fragments, lane: int) -> list:
+    """The lane's occupancy by the fragments' cars, of every kind, merged."""
     runs = []
-    for c in cars_meeting(ts, near, view.owner, claims=True):
-        merged = car_fragment(ts, c, view).merged
+    for merged in fragments:
         runs.extend(merged.get((lane, Kind.RESERVED), ()))
         runs.extend(merged.get((lane, Kind.CLAIMED), ()))
     return merge_runs(runs)
@@ -240,7 +240,8 @@ def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
         for lo, hi in res[lane]:
             if hi >= start - EPS or start - hi >= d_c - EPS:
                 continue
-            if not _intersects_open(_occupied(ts, view, lane, hi, start), hi, start):
+            near = _near_fragments(ts, view, [(lane, hi, start)])
+            if not _intersects_open(_occupied(near, lane), hi, start):
                 return True
     return False
 
@@ -260,23 +261,23 @@ def _gaps(intervals, lo_bound, hi_bound):
     return [(lo, hi) for lo, hi in out if hi - lo > EPS]
 
 
-def _one_lane_slice_ok(ctx: EvalContext, lane: int, p_lo, p_hi, q_lo, q_hi) -> bool:
+def _one_lane_slice_ok(fragments, lane: int, p_lo, p_hi, q_lo, q_hi,
+                       window_lo, window_hi) -> bool:
     """Can the one-lane condition hold on some [p, q], p in [p_lo, p_hi),
-    q in (q_lo, q_hi]?  Either a free stretch fits inside the widest window
-    or a single reservation/claim interval covers a valid [p, q] whole."""
+    q in (q_lo, q_hi], inside [window_lo, window_hi]?  Either a free stretch
+    fits inside the window or a single reservation/claim interval covers a
+    valid [p, q] whole.  Both lie in the window, so the fragments need hold
+    only the cars near it."""
     if p_lo >= p_hi - EPS or q_lo >= q_hi - EPS:
         return False
-    a, b = ctx.extent
-    window_lo, window_hi = max(p_lo, a), min(q_hi, b)
-    for g_lo, g_hi in _gaps(ctx.any_occ.get(lane, []), window_lo, window_hi):
+    for g_lo, g_hi in _gaps(_occupied(fragments, lane), window_lo, window_hi):
         if min(g_hi, window_hi) - max(g_lo, window_lo) > EPS:
             return True
-    for (lane_i, _kind, _car), intervals in ctx.by_key.items():
-        if lane_i != lane:
-            continue
-        for k_lo, k_hi in intervals:
-            if max(k_lo, p_lo) < p_hi - EPS and k_hi > q_lo + EPS:
-                return True
+    for merged in fragments:
+        for kind in (Kind.RESERVED, Kind.CLAIMED):
+            for k_lo, k_hi in merged.get((lane, kind), ()):
+                if max(k_lo, p_lo) < p_hi - EPS and k_hi > q_lo + EPS:
+                    return True
     return False
 
 
@@ -292,23 +293,27 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     if c == ego or not ts.cars[c].heading_with_lane:
         return False
     span = view.crossing_span(1)
-    if span is None or not car_fragment(ts, c, view).intervals:
+    theirs = car_fragment(ts, c, view)
+    if span is None or not theirs.intervals:
         return False
     ego_intervals = _frag_res(ts, view, ego)[0]
     if not ego_intervals:
         return False
-    ctx = _context(ts, view)
     s1, t1 = span
     min_lo = min(lo for lo, _ in ego_intervals)
     p_lo = max(s1, min_lo)  # the cs part starts after some ego reservation
     if p_lo >= t1 - EPS:
         return False
-    for j1, j2 in _res(ctx, 1, c):
+    a, b = view.extent
+    for j1, j2 in theirs.merged.get((1, Kind.RESERVED), []):
         if j1 <= t1 + EPS or j1 - t1 >= params.d_c_prime - EPS:
             continue
-        if _intersects_open(ctx.any_occ.get(1, []), t1, j1):
+        # one broad phase for the gap on lane 1 and the window on lane 0
+        window = (max(p_lo, a), min(j2, b))
+        near = _near_fragments(ts, view, [(1, t1, j1), (0, *window)])
+        if _intersects_open(_occupied(near, 1), t1, j1):
             continue
-        if _one_lane_slice_ok(ctx, 0, p_lo, t1, j1, j2):
+        if _one_lane_slice_ok(near, 0, p_lo, t1, j1, j2, *window):
             return True
     return False
 

@@ -29,14 +29,34 @@ the domain D, the sub-slices of the view:
   swapping two maps the context onto itself (their runs are empty, dir is
   false for them, = tells them apart only from named cars, and @disjoint
   refuses car ids).
+
+The verdict asks only whether the whole view [a, b] is in the root's set,
+and that is decided top-down, building zone sets only below the operators
+that need them; each step is exact because [a, b] lies in D:
+- [a, b] in D - A exactly when it is not in A, so ! negates the answer
+  (and the ``ors`` shape becomes "in A or in B");
+- [a, b] in A & B when it is in both, and in the union over E x. when it
+  is in one binding's set;
+- true ; X ; true, the outer chops of ``somewhere``, holds on [a, b]
+  exactly when X is non-empty: [a, x1] and [x2, b] lie in D = true for any
+  [x1, x2] in X;
+- X = [true / [g / true]], the lane split of ``somewhere``, is the union of
+  g's sets on the lane sets (), (0,), (1,) and (0, 1), since true is D on
+  every lane set and D & Y = Y: it is non-empty when one of them is.
+Other roots fall back to the full set.  Cars are projected per car on
+demand: re, cl and dir read one car's fragment, and only free and the
+stand-in rule of E x. read every car.  One walk over the formula per
+verdict checks its variables and finds the free variables of each E x.,
+shared by every view of a multi-view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 from .snapshot import TrafficSnapshot
-from .views import EPS, Kind, MultiView, View, car_fragments, merge_runs
+from .views import EPS, Kind, MultiView, View, car_fragment, merge_runs
 
 
 class LogicError(ValueError):
@@ -179,25 +199,43 @@ def default_valuation(ts: TrafficSnapshot, ego: str) -> dict:
 
 
 class EvalContext:
-    """Occupancy of one view digested for the evaluator."""
+    """Occupancy of one view as the evaluator reads it, projected per car on
+    demand: re, cl and dir read one car's fragment; only free (``any_occ``)
+    and the stand-in rule of E x. (``visible``) read every car."""
 
     def __init__(self, ts: TrafficSnapshot, view: View):
+        self.ts = ts
         self.view = view
         self.extent = view.extent
-        frags = car_fragments(ts, view)
-        self.car_ids = list(frags)
-        self.heading = {cid: ts.cars[cid].heading_with_lane for cid in ts.cars}
-        self.visible = {cid for cid, f in frags.items() if f.intervals}
-        self.by_key: dict = {}   # (lane, kind, car) -> merged [(lo, hi)]
-        self.any_occ: dict = {}  # lane -> merged [(lo, hi)]
-        raw_any: dict = {0: [], 1: []}
-        for cid, frag in frags.items():
-            for (lane_idx, kind), runs in frag.merged.items():
-                self.by_key[(lane_idx, kind, cid)] = runs
-                raw_any[lane_idx].extend(runs)
-        for lane_idx, ivs in raw_any.items():
-            self.any_occ[lane_idx] = merge_runs(ivs)
+        self.car_ids = sorted(ts.cars)
         self.crossing_span = {i: view.crossing_span(i) for i in (0, 1)}
+
+    def runs(self, lane: int, kind: Kind, car) -> list:
+        """One car's merged runs of one kind on one lane of the view."""
+        if car not in self.ts.cars:
+            return []
+        return car_fragment(self.ts, car, self.view).merged.get((lane, kind), [])
+
+    def dir(self, car) -> bool:
+        """Is the car on the view and heading along its lane?"""
+        state = self.ts.cars.get(car)
+        return bool(state and state.heading_with_lane
+                    and car_fragment(self.ts, car, self.view).intervals)
+
+    @cached_property
+    def visible(self) -> set:
+        """The cars with a fragment on the view."""
+        return {cid for cid in self.car_ids
+                if car_fragment(self.ts, cid, self.view).intervals}
+
+    @cached_property
+    def any_occ(self) -> dict:
+        """lane -> the merged runs of every car, reserved or claimed."""
+        raw: dict = {0: [], 1: []}
+        for cid in self.car_ids:
+            for (lane, _kind), runs in car_fragment(self.ts, cid, self.view).merged.items():
+                raw[lane].extend(runs)
+        return {lane: merge_runs(ivs) for lane, ivs in raw.items()}
 
 
 def _intersects_open(intervals, x1, x2) -> bool:
@@ -207,18 +245,6 @@ def _intersects_open(intervals, x1, x2) -> bool:
         if hi > x1 + EPS:
             return True
     return False
-
-
-def _children(f: Formula):
-    if isinstance(f, Not):
-        return (f.f,)
-    if isinstance(f, (And, HChop)):
-        return (f.a, f.b)
-    if isinstance(f, VChop):
-        return (f.upper, f.lower)
-    if isinstance(f, Exists):
-        return (f.f,)
-    return ()
 
 
 # Zones.  A zone is a closed difference-bound matrix over (x0 = 0, x1, x2),
@@ -349,19 +375,24 @@ def _length(op: str, d: float) -> tuple:
     return _constraints((7, (d + EPS, 0)), (5, (EPS - d, 0)))
 
 
+_KIND = {Re: Kind.RESERVED, Cl: Kind.CLAIMED}
+_BOTH = (0, 1)
+_LANE_SETS = ((0,), (1,), _BOTH, ())  # single lanes first: atoms hold only there
+
+
 class _Zones:
     """Truth sets over the sub-slices of one view, memoised per sub-formula,
-    valuation and lane set."""
+    valuation and lane set, and membership of the whole view in them."""
 
-    def __init__(self, ctx: EvalContext):
+    def __init__(self, ctx: EvalContext, scope: dict):
         self.ctx = ctx
+        self.scope = scope  # id(E x. node) -> free variables of it
         a, b = ctx.extent
         # the domain a <= x1 <= x2 <= b
         domain = _close(_constraints((1, (-a, 0)), (2, (-a, 0)), (3, (b, 0)),
                                      (5, _LE0), (6, (b, 0))), 3)
         self.all = [domain] if domain else []
         self.memo: dict = {}
-        self.free: dict = {}  # id(Exists node) -> free variables of it
 
     def holds(self, zones) -> bool:
         """Is the whole view [a, b] in the truth set?"""
@@ -370,6 +401,29 @@ class _Zones:
         return any(all((v[k // 3] - v[k % 3], 0) <= bound for k, bound in enumerate(z))
                    for z in zones)
 
+    def member(self, f, nu, nu_token) -> bool:
+        """Is the whole view [a, b] in the truth set of f over both lanes?
+        Decided top-down, so zone sets are built only below the operators
+        that need them."""
+        kind = type(f)
+        if kind is Not:
+            return not self.member(f.f, nu, nu_token)
+        if kind is And:
+            return self.member(f.a, nu, nu_token) and self.member(f.b, nu, nu_token)
+        if kind is Exists:
+            return any(self.member(f.f, child, token)
+                       for child, token in self._bindings(f, nu, nu_token))
+        if kind is HChop and type(f.a) is TrueF and type(f.b) is HChop \
+                and type(f.b.b) is TrueF:
+            x = f.b.a  # true ; X ; true: X holds on some slice
+            if type(x) is VChop and type(x.upper) is TrueF and type(x.lower) is VChop \
+                    and type(x.lower.lower) is TrueF:
+                # X = [true / [g / true]]: g holds on some slice of some lane set
+                g = x.lower.upper
+                return any(self.run(g, nu, nu_token, lanes) for lanes in _LANE_SETS)
+            return bool(self.run(x, nu, nu_token, _BOTH))
+        return self.holds(self.run(f, nu, nu_token, _BOTH))
+
     def run(self, f, nu, nu_token, lanes) -> list:
         key = (id(f), nu_token, lanes)
         hit = self.memo.get(key)
@@ -377,17 +431,33 @@ class _Zones:
             hit = self.memo[key] = self._eval(f, nu, nu_token, lanes)
         return hit
 
+    def _bindings(self, f, nu, nu_token):
+        """(valuation, token) for each car E x. ranges over; the first car
+        off the view that no free variable of the body names stands in for
+        all such cars."""
+        ctx = self.ctx
+        named = [nu[v] for v in self.scope[id(f)]]
+        stood_in = False
+        for cid in ctx.car_ids:
+            if cid not in ctx.visible and cid not in named:
+                if stood_in:
+                    continue
+                stood_in = True
+            child = dict(nu)
+            child[f.var] = cid
+            yield child, nu_token + ((f.var, cid),)
+
     def _runs(self, f, nu, lane) -> list:
         """The intervals inside which a one-lane atom holds on a slice."""
         ctx = self.ctx
-        if isinstance(f, Free):
-            ends = [-_INF] + [p for run in ctx.any_occ.get(lane, []) for p in run] + [_INF]
+        kind = type(f)
+        if kind is Free:
+            ends = [-_INF] + [p for run in ctx.any_occ[lane] for p in run] + [_INF]
             return list(zip(ends[::2], ends[1::2]))
-        if isinstance(f, Cs):
-            span = ctx.crossing_span.get(lane)
+        if kind is Cs:
+            span = ctx.crossing_span[lane]
             return [span] if span else []
-        kind = Kind.RESERVED if isinstance(f, Re) else Kind.CLAIMED
-        return ctx.by_key.get((lane, kind, nu[f.var]), [])
+        return ctx.runs(lane, _KIND[kind], nu[f.var])
 
     def _meet(self, zs, ws) -> list:
         """zs & ws, with D & X = X: every truth set lies inside D."""
@@ -396,118 +466,101 @@ class _Zones:
         return zs if ws is self.all else _meet(zs, ws)
 
     def _eval(self, f, nu, nu_token, lanes) -> list:
-        ctx = self.ctx
-        if isinstance(f, TrueF):
+        kind = type(f)
+        if kind is TrueF:
             return self.all
-        if isinstance(f, Eq):
+        if kind is Eq:
             return self.all if nu[f.u] == nu[f.v] else []
-        if isinstance(f, SetDisjoint):
+        if kind is SetDisjoint:
             return [] if nu[f.u] & nu[f.v] else self.all
-        if isinstance(f, Dir):
-            car = nu[f.var]
-            return self.all if car in ctx.visible and ctx.heading.get(car) else []
-        if isinstance(f, LenCmp):
+        if kind is Dir:
+            return self.all if self.ctx.dir(nu[f.var]) else []
+        if kind is LenCmp:
             return _meet(self.all, [_length(f.op, f.d)])
-        if isinstance(f, (Free, Cs, Re, Cl)):
+        if kind is Free or kind is Cs or kind is Re or kind is Cl:
             if len(lanes) != 1:
                 return []
             return _meet(self.all, [_slices(lo, hi) for lo, hi in self._runs(f, nu, lanes[0])])
-        if isinstance(f, Not):
+        if kind is Not:
             g = f.f
-            if isinstance(g, And) and isinstance(g.a, Not) and isinstance(g.b, Not):
+            if type(g) is And and type(g.a) is Not and type(g.b) is Not:
                 # a | b: D - ((D - A) & (D - B)) = A | B for A, B inside D
                 return _prune(self.run(g.a.f, nu, nu_token, lanes)
                               + self.run(g.b.f, nu, nu_token, lanes))
             inner = self.run(g, nu, nu_token, lanes)
             return [] if inner is self.all else _minus(self.all, inner)
-        if isinstance(f, And):
+        if kind is And:
             left = self.run(f.a, nu, nu_token, lanes)
             return self._meet(left, self.run(f.b, nu, nu_token, lanes)) if left else []
-        if isinstance(f, Exists):
-            # the first car off the view that no free variable names stands
-            # in for all such cars
-            free = self.free.get(id(f))
-            if free is None:
-                free = self.free[id(f)] = free_variables(f)
-            named = [nu[v] for v in free]
+        if kind is Exists:
             out = []
-            stood_in = False
-            for cid in ctx.car_ids:
-                if cid not in ctx.visible and cid not in named:
-                    if stood_in:
-                        continue
-                    stood_in = True
-                child = dict(nu)
-                child[f.var] = cid
-                out += self.run(f.f, child, nu_token + ((f.var, cid),), lanes)
+            for child, token in self._bindings(f, nu, nu_token):
+                out += self.run(f.f, child, token, lanes)
             return _prune(out)
-        if isinstance(f, VChop):
+        if kind is VChop:
             out = []
             for t in range(len(lanes) + 1):
                 lower, upper = lanes[:t], lanes[t:]
                 out += self._meet(self.run(f.upper, nu, nu_token, upper),
                                   self.run(f.lower, nu, nu_token, lower))
             return _prune(out)
-        if isinstance(f, HChop):
+        if kind is HChop:
             left = self.run(f.a, nu, nu_token, lanes)
             return _chop(left, self.run(f.b, nu, nu_token, lanes)) if left else []
-        raise LogicError(f"cannot evaluate node {type(f).__name__}")
+        raise LogicError(f"cannot evaluate node {kind.__name__}")
 
 
-def _context(ts: TrafficSnapshot, view: View) -> EvalContext:
-    """The view's evaluation context, built once per snapshot."""
-    key = ("ctx", id(view))
-    hit = ts.cache.get(key)
-    if hit is not None:
-        return hit[1]
-    ctx = EvalContext(ts, view)
-    ts.cache[key] = (view, ctx)  # the view pins the id in the key
-    return ctx
-
-
-def free_variables(f: Formula, bound: frozenset = frozenset()) -> set:
-    if isinstance(f, (Re, Cl, Dir)):
-        return {f.var} - bound
-    if isinstance(f, (Eq, SetDisjoint)):
-        return {f.u, f.v} - bound
-    if isinstance(f, Exists):
-        return free_variables(f.f, bound | {f.var})
-    out = set()
-    for child in _children(f):
-        out |= free_variables(child, bound)
-    return out
-
-
-def _disjoint_operands(f: Formula, bound: frozenset = frozenset()) -> list:
-    """(variable, bound by a quantifier) for each operand of each @disjoint."""
-    if isinstance(f, SetDisjoint):
-        return [(v, v in bound) for v in (f.u, f.v)]
-    if isinstance(f, Exists):
-        bound = bound | {f.var}
-    return [op for child in _children(f) for op in _disjoint_operands(child, bound)]
-
-
-def _check(nu: dict, f: Formula) -> None:
-    """Every free variable is bound, and @disjoint reads only sets."""
+def _scope(nu: dict, f: Formula) -> dict:
+    """One walk over the formula per verdict: every free variable must be
+    bound and @disjoint must read sets.  Returns the free variables of each
+    E x. node by id, which the stand-in rule reads on every view."""
     if "ego" not in nu:
         raise LogicError("valuation must bind 'ego'")
-    unbound = free_variables(f) - set(nu)
+    scope: dict = {}
+    disjoint: list = []  # (variable, bound by a quantifier) per @disjoint operand
+
+    def walk(g, bound, free: set) -> None:
+        """Add the free variables of g to free."""
+        kind = type(g)
+        if kind is Not:
+            walk(g.f, bound, free)
+        elif kind is And or kind is HChop:
+            walk(g.a, bound, free)
+            walk(g.b, bound, free)
+        elif kind is VChop:
+            walk(g.upper, bound, free)
+            walk(g.lower, bound, free)
+        elif kind is Exists:
+            inner = scope[id(g)] = set()
+            walk(g.f, bound | {g.var}, inner)
+            inner.discard(g.var)
+            free |= inner
+        elif kind is Re or kind is Cl or kind is Dir:
+            free.add(g.var)
+        elif kind is Eq or kind is SetDisjoint:
+            free.update((g.u, g.v))
+            if kind is SetDisjoint:
+                disjoint.extend((v, v in bound) for v in (g.u, g.v))
+
+    free: set = set()
+    walk(f, frozenset(), free)
+    unbound = free - set(nu)
     if unbound:
         raise LogicError(f"unbound variable {sorted(unbound)[0]!r}")
-    for var, quantified in _disjoint_operands(f):
+    for var, quantified in disjoint:
         if quantified or not isinstance(nu[var], (set, frozenset)):
             raise LogicError(f"@disjoint needs sets, {var!r} is not bound to one")
+    return scope
 
 
-def _holds(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
-    zones = _Zones(_context(ts, view))
-    return zones.holds(zones.run(f, nu, (), (0, 1)))
+def _member(ts: TrafficSnapshot, view: View, nu: dict, f: Formula, scope: dict) -> bool:
+    zones = _Zones(EvalContext(ts, view), scope)
+    return bool(zones.all) and zones.member(f, nu, ())
 
 
 def eval_formula(ts: TrafficSnapshot, view: View, nu: dict, f: Formula) -> bool:
     """Does the formula hold on the full view under the given valuation?"""
-    _check(nu, f)
-    return _holds(ts, view, nu, f)
+    return _member(ts, view, nu, f, _scope(nu, f))
 
 
 def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,
@@ -517,8 +570,8 @@ def eval_multiview(ts: TrafficSnapshot, mv: MultiView, nu: dict, f: Formula,
         raise LogicError("empty multi-view")
     if mode not in ("forall", "exists"):
         raise LogicError(f"unknown mode {mode!r}")
-    _check(nu, f)
-    results = (_holds(ts, v, nu, f) for v in mv.views)
+    scope = _scope(nu, f)
+    results = (_member(ts, v, nu, f, scope) for v in mv.views)
     return all(results) if mode == "forall" else any(results)
 
 

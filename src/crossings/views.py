@@ -404,12 +404,6 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     return fragment
 
 
-def car_fragments(ts: TrafficSnapshot, view: View):
-    """{car id: CarFragment} for every car, in car id order, as the view's
-    owner perceives them."""
-    return {cid: car_fragment(ts, cid, view) for cid in sorted(ts.cars)}
-
-
 # Broad phase.  _lay_forward and _lay_backward lay distinct nodes end to end
 # on a virtual lane, so two cars' runs on one lane can overlap by more than
 # EPS only where both cars occupy one node.  The checks in `formulas`

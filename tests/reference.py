@@ -120,7 +120,7 @@ class GridOracle:
             return self._const(not (u & v))
         if isinstance(f, Dir):
             car = self._lookup(nu, f.var)
-            return self._const(car in self.ctx.visible and bool(self.ctx.heading.get(car)))
+            return self._const(self.ctx.dir(car))
         if isinstance(f, LenCmp):
             if f.op == "<":
                 return self.tri & (self.length < f.d - EPS)
@@ -140,7 +140,7 @@ class GridOracle:
                 return self._const(False)
             kind = Kind.RESERVED if isinstance(f, Re) else Kind.CLAIMED
             car = self._lookup(nu, f.var)
-            return self._contained(self.ctx.by_key.get((lanes[0], kind, car), []))
+            return self._contained(self.ctx.runs(lanes[0], kind, car))
         if isinstance(f, Not):
             return self.tri & ~self.full(f.f, nu_token, lanes)
         if isinstance(f, And):

@@ -8,6 +8,7 @@ from crossings.formulas import (
     _overlap_pos,
     ca_formula,
     check_ca,
+    check_lc,
     col_formula,
     col_witness,
     geom_ca,
@@ -32,6 +33,7 @@ from crossings.logic import (
     default_valuation,
     eval_formula,
     eval_multiview,
+    pretty,
 )
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
@@ -102,8 +104,8 @@ class TestEquivalence:
 def _col_pair(ctx, a, b):
     """Do the reservations of cars a and b overlap on one lane of the view?"""
     return a != b and any(
-        _overlap_pos(ctx.by_key.get((lane, Kind.RESERVED, a), []),
-                     ctx.by_key.get((lane, Kind.RESERVED, b), []))
+        _overlap_pos(ctx.runs(lane, Kind.RESERVED, a),
+                     ctx.runs(lane, Kind.RESERVED, b))
         for lane in (0, 1))
 
 
@@ -273,12 +275,12 @@ def _brute_pc(ts, mv, ego):
     for view in mv.views:
         ctx = EvalContext(ts, view)
         for lane_idx in (0, 1):
-            mine = ctx.by_key.get((lane_idx, Kind.CLAIMED, ego))
+            mine = ctx.runs(lane_idx, Kind.CLAIMED, ego)
             if not mine:
                 continue
             for c in ctx.car_ids:
                 if c != ego and any(
-                    _overlap_pos(mine, ctx.by_key.get((lane_idx, kind, c), []))
+                    _overlap_pos(mine, ctx.runs(lane_idx, kind, c))
                     for kind in Kind
                 ):
                     out.add(c)
@@ -292,7 +294,7 @@ def _brute_ca(ts, mv, ego, d_c):
         if span is None:
             continue
         start = span[0]
-        for lo, hi in ctx.by_key.get((lane_idx, Kind.RESERVED, ego), []):
+        for lo, hi in ctx.runs(lane_idx, Kind.RESERVED, ego):
             if hi < start - EPS and start - hi < d_c - EPS and not _intersects_open(
                 ctx.any_occ.get(lane_idx, []), hi, start
             ):
@@ -349,30 +351,8 @@ class TestBroadPhase:
         assert seen["col"]
 
     def test_lane_change_and_followers(self, topo):
-        # E straddles lanes 7 and 6 (partner-lane entries) and D comes the
-        # other way on lane 6 beside it; B follows E on lane 7, its envelope
-        # overlapping, touching or short of E's; F claims lane 6, and G and
-        # H claim crossing cells they share
         seen = dict.fromkeys(("col", "pc", "ca"), 0)
-        route = path("7", "c0", "c1", "c2", "4")
-        for gap in (2.0, 3.75, 4.0, 6.0, 12.0):
-            ts = TrafficSnapshot(
-                {
-                    "E": make_car(route, 100.0, speed=8.0,
-                                  res=frozenset({lane(7), lane(6)})),
-                    "B": make_car(route, 100.0 - 4.0 - gap, speed=8.0,
-                                  braking=4.0),
-                    "D": make_car(path("5", "c3", "6"), 44.0, curr=2,
-                                  speed=8.0),
-                    "F": make_car(route, 60.0, speed=8.0,
-                                  clm=frozenset({lane(6)})),
-                    "G": make_car(route, 130.0, speed=8.0,
-                                  cclm=frozenset({cs(0), cs(1), cs(2)})),
-                    "H": make_car(path("1", "c1", "c2", "4"), 130.0, speed=8.0,
-                                  cclm=frozenset({cs(1), cs(2)})),
-                },
-                topo.net,
-            )
+        for ts in _lane_change_scenes(topo):
             _assert_narrowed_checks_exact(topo, ts, 50.0, 150.0, PARAMS, seen)
         assert seen["col"] and seen["pc"] and seen["ca"]
 
@@ -385,18 +365,103 @@ class TestBroadPhase:
         assert seen["pc"] and seen["ca"]
 
     def test_crossing_ahead_with_the_gap_taken(self, topo):
-        # E is within d_c of c0; the gap before it is free, taken by Z, or
-        # claimed whole by J from the partner lane (claims are not free)
         seen = dict.fromkeys(("col", "pc", "ca"), 0)
-        route = path("7", "c0", "c1", "2")
-        ego = make_car(route, 128.0, speed=8.0)
-        for others in (
-            {},
-            {"Z": make_car(route, 140.0, speed=0.0, size=4.0)},
-            {"J": make_car(path("6"), 100.0, speed=8.0,
-                           clm=frozenset({lane(7)}))},
-        ):
-            ts = TrafficSnapshot({"E": ego, **others}, topo.net)
+        for ts in _gap_scenes(topo):
             _assert_narrowed_checks_exact(topo, ts, 50.0, 150.0, PARAMS, seen)
             mv = build_multiview(topo, ts, "E", 50.0, 150.0)
-            assert check_ca(ts, mv, "E", PARAMS) == (not others)
+            assert check_ca(ts, mv, "E", PARAMS) == (len(ts.cars) == 1)
+
+
+def _lane_change_scenes(topo):
+    # E straddles lanes 7 and 6 (partner-lane entries) and D comes the
+    # other way on lane 6 beside it; B follows E on lane 7, its envelope
+    # overlapping, touching or short of E's; F claims lane 6, and G and
+    # H claim crossing cells they share
+    route = path("7", "c0", "c1", "c2", "4")
+    for gap in (2.0, 3.75, 4.0, 6.0, 12.0):
+        yield TrafficSnapshot(
+            {
+                "E": make_car(route, 100.0, speed=8.0,
+                              res=frozenset({lane(7), lane(6)})),
+                "B": make_car(route, 100.0 - 4.0 - gap, speed=8.0,
+                              braking=4.0),
+                "D": make_car(path("5", "c3", "6"), 44.0, curr=2,
+                              speed=8.0),
+                "F": make_car(route, 60.0, speed=8.0,
+                              clm=frozenset({lane(6)})),
+                "G": make_car(route, 130.0, speed=8.0,
+                              cclm=frozenset({cs(0), cs(1), cs(2)})),
+                "H": make_car(path("1", "c1", "c2", "4"), 130.0, speed=8.0,
+                              cclm=frozenset({cs(1), cs(2)})),
+            },
+            topo.net,
+        )
+
+
+def _gap_scenes(topo):
+    # E is within d_c of c0; the gap before it is free, taken by Z, or
+    # claimed whole by J from the partner lane (claims are not free)
+    route = path("7", "c0", "c1", "2")
+    ego = make_car(route, 128.0, speed=8.0)
+    for others in (
+        {},
+        {"Z": make_car(route, 140.0, speed=0.0, size=4.0)},
+        {"J": make_car(path("6"), 100.0, speed=8.0,
+                       clm=frozenset({lane(7)}))},
+    ):
+        yield TrafficSnapshot({"E": ego, **others}, topo.net)
+
+
+# ---------------------------------------------------------------------------
+# evaluator and guard checks on scenes where the guards are true
+
+
+def _assert_guard_formulas_agree(topo, ts, h_b, h_f, params, seen):
+    """Every car as ego: @col, and @lc, @pc and @ph of every other car, by
+    the evaluator over the multi-view and by the guard checks."""
+    for ego in sorted(ts.cars):
+        mv = build_multiview(topo, ts, ego, h_b, h_f)
+        if not mv.views:
+            continue
+        nu = default_valuation(ts, ego)
+
+        def agree(kind, f, direct):
+            got = eval_multiview(ts, mv, nu, f, mode="exists")
+            assert got == direct, (kind, ego, pretty(f))
+            seen[kind] += direct
+
+        agree("col", col_formula(), col_witness(ts, mv, ego) is not None)
+        for c in sorted(ts.cars):
+            if c != ego:
+                agree("lc", lc_formula(c), check_lc(ts, mv, c))
+                agree("pc", pc_formula(c), c in pc_cars(ts, mv, ego))
+                agree("ph", ph_formula(c, params), c in ph_cars(ts, mv, ego, params))
+
+
+class TestTrueGuards:
+    """The evaluator says true where the guard checks do: a wrong false on
+    @col, @lc, @pc or @ph fails here."""
+
+    def test_negative_conflicts(self):
+        seen = dict.fromkeys(("col", "lc", "pc", "ph"), 0)
+        conflicts = set()
+        for seed in range(40):
+            scenario = negative_scenario(seed)
+            key = tuple((s.path, s.cres) for _, s in sorted(scenario.cars.items()))
+            if key in conflicts:
+                continue
+            conflicts.add(key)
+            sim = Simulation(scenario)
+            for tick in range(scenario.ticks):
+                if tick % 2 == 0:
+                    _assert_guard_formulas_agree(scenario.topo, sim.ts, scenario.h_b,
+                                                 scenario.h_f, scenario.params, seen)
+                sim.step()
+        assert len(conflicts) == 6
+        assert seen["col"] and seen["lc"] and seen["ph"]
+
+    def test_lane_change_and_claim_scenes(self, topo):
+        seen = dict.fromkeys(("col", "lc", "pc", "ph"), 0)
+        for ts in [*_lane_change_scenes(topo), *_gap_scenes(topo)]:
+            _assert_guard_formulas_agree(topo, ts, 50.0, 150.0, PARAMS, seen)
+        assert all(seen.values()), seen

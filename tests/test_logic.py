@@ -26,6 +26,7 @@ from crossings.logic import (
     eval_formula,
     eval_multiview,
     invert,
+    ors,
     parse,
     pretty,
     somewhere,
@@ -35,6 +36,7 @@ from crossings.snapshot import TrafficSnapshot
 from crossings.views import Kind, build_multiview, twist
 
 from conftest import make_car
+import gridgen
 from gridgen import GRID_POINTS, random_scene
 from reference import oracle_eval
 
@@ -333,10 +335,12 @@ class TestExactness:
         assert not tiles(d + 2 * EPS) and not tiles(d - 2 * EPS)
 
     def with_runs(self, monkeypatch, busy, view, claim, reservation):
+        crafted = {(0, Kind.CLAIMED, "E"): [claim], (0, Kind.RESERVED, "D"): [reservation]}
         ctx = EvalContext(busy, view)
-        ctx.by_key[(0, Kind.CLAIMED, "E")] = [claim]
-        ctx.by_key[(0, Kind.RESERVED, "D")] = [reservation]
-        monkeypatch.setattr(logic, "_context", lambda ts, v: ctx)
+        projected = ctx.runs
+        monkeypatch.setattr(ctx, "runs", lambda lane, kind, car: crafted.get(
+            (lane, kind, car), projected(lane, kind, car)))
+        monkeypatch.setattr(logic, "EvalContext", lambda ts, v: ctx)
         return eval_formula(busy, view, default_valuation(busy, "E"),
                             parse("<cl(E) & re(D)>"))
 
@@ -371,3 +375,50 @@ class TestExactness:
             assert got == oracle_eval(ts, view, nu, f, points=GRID_POINTS)
             verdicts.add(got)
         assert verdicts == {True, False}
+
+
+def _rooted(rng, depth, car_vars, identities):
+    """A formula with !, &, an ``ors`` disjunction, E or somewhere at the
+    root, and with even odds one of them again below it."""
+    op = rng.choice(("not", "and", "or", "exists", "somewhere"))
+    if op == "exists":
+        var = f"v{sum(v.startswith('v') for v in car_vars)}"
+        car_vars = tuple(car_vars) + (var,)
+
+    def sub():
+        if depth > 2 and rng.random() < 0.5:
+            return _rooted(rng, depth - 1, car_vars, identities)
+        return gridgen.random_formula(rng, rng.randint(1, depth - 1), car_vars, identities)
+
+    if op == "not":
+        return Not(sub())
+    if op == "and":
+        return And(sub(), sub())
+    if op == "or":
+        return ors(sub(), sub())
+    if op == "exists":
+        return Exists(var, sub())
+    return somewhere(sub())
+
+
+class TestMembership:
+    """The top-down membership test against membership in the full truth set."""
+
+    @pytest.mark.parametrize("identities", [False, True])
+    def test_member_agrees_with_the_truth_set(self, identities):
+        rng = random.Random(600 + identities)
+        verdicts = {True: 0, False: 0}
+        for _ in range(250):
+            if identities:
+                ts, view = random_scene(rng, max_cars=7, off_view=2)
+            else:
+                ts, view = random_scene(rng)
+            f = _rooted(rng, rng.randint(2, 6), tuple(sorted(ts.cars)), identities)
+            nu = default_valuation(ts, "E")
+            scope = logic._scope(nu, f)
+            ctx = EvalContext(ts, view)
+            top_down = logic._Zones(ctx, scope).member(f, nu, ())
+            full = logic._Zones(ctx, scope)
+            assert top_down == full.holds(full.run(f, nu, (), (0, 1))), pretty(f)
+            verdicts[top_down] += 1
+        assert min(verdicts.values()) > 50, verdicts

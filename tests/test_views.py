@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -120,11 +121,23 @@ class TestVirtualLanes:
 
     def test_multiview_rebuilt_for_a_replaced_car(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
-        for ts in (ego_ts.with_car("E", ego_ts.cars["E"]), evolve(ego_ts, 0.1)):
+        moved = replace(ego_ts.cars["E"], pos=ego_ts.cars["E"].pos + 1.0)
+        for ts in (ego_ts.with_car("E", moved), evolve(ego_ts, 0.1)):
             again = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
             assert again is not mv
             # the lane pairs come from the topology's store
             assert all(a is b for a, b in zip(again.views[0].lanes, mv.views[0].lanes))
+
+    def test_multiview_handed_on_through_an_action(self, topo, ego_ts):
+        # an action changes a car's books, never its path, node or position:
+        # the multi-view stays, its occupancy and fragments do not
+        mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
+        car_fragment(ego_ts, "E", mv.views[0])
+        acted = ego_ts.with_car("E", replace(ego_ts.cars["E"], cclm=frozenset({cs(0)})))
+        assert build_multiview(topo, acted, "E", h_b=50.0, h_f=150.0) is mv
+        assert [k for k in acted.car_cache["E"] if k[0] != "mv"] == []
+        assert car_fragment(acted, "E", mv.views[0]).merged != \
+            car_fragment(ego_ts, "E", mv.views[0]).merged
 
     def test_multiview_shares_extent(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
