@@ -120,6 +120,14 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
 
     q0 safe, q1/q2 crossing ahead (claiming), q3 waiting for helper answers,
     q4/q5 on the crossing (with and without helpers involved).
+
+    A failed claim cycle (``q2 -> q1`` on a potential collision, ``q3 -> q1``
+    on a ``no`` or a helper timeout) backs off one answer window: it resets
+    ``x`` and sets ``failed``, and ``q1 -> q2`` waits for ``x >= t_w`` while
+    ``failed`` holds.  ``q0 -> q1`` clears ``failed``, so the first claim
+    after entering q1 does not wait.  The paper's controller re-claims at
+    once; the stronger guard only removes runs, and q1's invariant ``ca``
+    still holds while the car waits.
     """
     invariants = {
         "q0": g_not(G_COL),
@@ -133,11 +141,16 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
         "cross", lambda env: (env.car, env.ts.cars[env.car].cclm), "cross!(ego, cs)"
     )
     send_finished = OutputSpec("finished", lambda env: (env.car,), "finished!ego")
+    not_failed = Guard("!failed", lambda env: not env.data["failed"])
+    set_failed = (("failed", lambda env: True),)
     transitions = (
-        Transition("q0", "q1", "crossing ahead", guard=G_CA),
-        Transition("q1", "q2", "claim crossing", actions=(ACT_CC,), resets=("x",)),
+        Transition("q0", "q1", "crossing ahead", guard=G_CA,
+                   updates=(("failed", lambda env: False),)),
+        Transition("q1", "q2", "claim crossing",
+                   guard=g_or(not_failed, clock_ge("x", lambda p: p.t_w, "t_w")),
+                   actions=(ACT_CC,), resets=("x",)),
         Transition("q2", "q1", "potential collision", guard=G_PC_ANY,
-                   actions=(ACT_WD_CC,)),
+                   actions=(ACT_WD_CC,), updates=set_failed, resets=("x",)),
         Transition(
             "q2", "q5", "reserve without helpers",
             guard=g_and(g_not(G_PC_ANY), g_not(G_PH_ANY), g_not(G_LC)),
@@ -161,6 +174,7 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
             input=InputSpec("no", ("c",),
                             Guard("c = ego", lambda env: env.data["c"] == env.car)),
             actions=(ACT_WD_CC,), outputs=(send_finished,),
+            updates=set_failed, resets=("x",),
         ),
         Transition(
             "q3", "q4", "all helpers answered",
@@ -174,6 +188,7 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
             "q3", "q1", "helper timeout",
             guard=g_and(clock_ge("x", lambda p: p.t_w, "t_w"), G_UNANSWERED),
             actions=(ACT_WD_CC,), outputs=(send_finished,),
+            updates=set_failed, resets=("x",),
         ),
         Transition(
             "q4", "q0", "manoeuvre finished",
@@ -191,7 +206,7 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
         initial="q0",
         invariants=invariants,
         transitions=transitions,
-        data0={"H": frozenset()},
+        data0={"H": frozenset(), "failed": False},
     )
 
 

@@ -136,7 +136,8 @@ def _sweep_worker(seed):
     problems = []
     sim._emit_snapshot = lambda: problems.extend(sanity_check(sim.ts))
     sim.run()
-    return seed, sim.verdict.safe, problems == []
+    violations = [ev.render() for ev in sim.events if ev.kind == "Violation"]
+    return seed, sim.verdict.safe, problems == [], violations
 
 
 @pytest.mark.slow
@@ -145,9 +146,11 @@ def test_criterion_4_and_5_safety_sweep_with_negative_control():
     with multiprocessing.Pool(2) as pool:
         results = pool.map(_sweep_worker, range(1000), chunksize=20)
     elapsed = time.time() - started
-    unsafe = [seed for seed, safe, _ in results if not safe]
-    insane = [seed for seed, _, sane in results if not sane]
+    unsafe = [seed for seed, safe, _, _ in results if not safe]
+    insane = [seed for seed, _, sane, _ in results if not sane]
+    violations = [(seed, v) for seed, _, _, found in results for v in found]
     assert unsafe == [], f"unsafe sweep seeds: {unsafe[:10]}"
+    assert violations == [], f"violations in the sweep: {violations[:10]}"
     assert elapsed <= 300.0, f"sweep took {elapsed:.1f}s"
 
     wrongly_safe = []

@@ -16,9 +16,10 @@ from crossings.controllers import (
     road_controller_stub,
 )
 from crossings.comm import Message
-from crossings.harness import Simulation
+from crossings.harness import Simulation, run
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
+from crossings.randomgen import sweep_scenario
 from crossings.scenario import load_scenario, parse_scenario
 from crossings.snapshot import ActionKind, TrafficSnapshot, apply_action
 from crossings.views import build_multiview
@@ -145,6 +146,22 @@ class TestCrossingController:
         ]
         assert [m.channel for m in result.messages] == ["finished"]
 
+    def test_failed_cycle_backs_off_one_answer_window(self, topo, approaching):
+        ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
+        inst = ControllerInstance(crossing_controller(PARAMS), "E")
+        inst.state = "q3"
+        inst.clocks["x"] = 0.2
+        env = env_for(topo, ts, inst)
+        t, bindings = inst.matching_input(Message("no", ("E",), "A"), env)
+        inst.fire(t, env.with_bindings(bindings))
+        assert (inst.state, inst.clocks["x"], inst.data["failed"]) == ("q1", 0.0, True)
+        inst.fired_this_tick.clear()
+        inst.clocks["x"] = PARAMS.t_w - 0.05
+        assert inst.enabled_transition(env_for(topo, approaching, inst)) is None
+        inst.clocks["x"] = PARAMS.t_w
+        t = inst.enabled_transition(env_for(topo, approaching, inst))
+        assert (t.source, t.target) == ("q1", "q2")
+
     def test_timeout_edges_come_after_communication_edges(self):
         defn = crossing_controller(PARAMS)
         q3 = [t for t in defn.transitions if t.source == "q3"]
@@ -193,6 +210,40 @@ class TestCrossingController:
         assert [a.kind for a in result.actions] == [
             ActionKind.WITHDRAW_RESERVE_CROSSING
         ]
+
+
+FAILURE_EDGES = {
+    ("q2", "q1", "potential collision"),
+    ("q3", "q1", "no received"),
+    ("q3", "q1", "helper timeout"),
+}
+
+
+def test_claims_back_off_after_a_failed_cycle_only():
+    """In every crossing instance, a claim comes no earlier than ``t_w``
+    after a failed cycle, and in the very tick of ``q0 -> q1`` otherwise."""
+    backed_off = first = 0
+    for label in ("helper-no", "helper-timeout", *range(10)):
+        scenario = (load_scenario(label) if isinstance(label, str)
+                    else sweep_scenario(label))
+        _, events = run(scenario)
+        since = {}  # instance -> (time, failed) of its last way into q1
+        for ev in events:
+            d = dict(ev.payload)
+            if ev.kind != "ControllerTransition" or "/crossing/" not in d["inst"]:
+                continue
+            edge = (d["from"], d["to"], d["label"])
+            if edge in FAILURE_EDGES or edge[:2] == ("q0", "q1"):
+                since[d["inst"]] = (ev.time, edge in FAILURE_EDGES)
+            elif edge[:2] == ("q1", "q2"):
+                when, failed = since.pop(d["inst"])
+                if failed:
+                    assert ev.time >= when + scenario.params.t_w - 1e-9, (label, d)
+                    backed_off += 1
+                else:
+                    assert ev.time == when, (label, d)
+                    first += 1
+    assert backed_off > 10 and first > 10
 
 
 def _act(kind):

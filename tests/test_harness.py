@@ -115,6 +115,12 @@ class TestProtocolRuns:
         assert leave and leave[0] == pytest.approx(scenario.params.t_w, abs=scenario.dt)
 
 
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_bundled_scenario_runs_without_violation(name):
+    _, events = run(load_scenario(name))
+    assert [ev.render() for ev in events if ev.kind == "Violation"] == []
+
+
 class TestMonitor:
     def test_constructed_overlap_is_flagged_within_a_tick(self, topo):
         # monitor-only cars injected with an actual envelope overlap; the
