@@ -35,9 +35,8 @@ class GuardEnv:
     car: str
 
     def with_bindings(self, bindings: dict) -> "GuardEnv":
-        data = dict(self.data)
-        data.update(bindings)
-        return GuardEnv(self.ts, self.mv, self.clocks, data, self.params, self.car)
+        return GuardEnv(self.ts, self.mv, self.clocks, {**self.data, **bindings},
+                        self.params, self.car)
 
     def cs_own(self) -> frozenset:
         """Crossing segments this car claims or reserves, from the snapshot."""
@@ -52,21 +51,32 @@ class Guard:
 
 
 def g_and(*guards: Guard) -> Guard:
-    return Guard(
-        " & ".join(g.name for g in guards),
-        lambda env: all(g.holds(env) for g in guards),
-    )
+    tests = tuple(g.holds for g in guards)
+
+    def holds(env):
+        for test in tests:
+            if not test(env):
+                return False
+        return True
+
+    return Guard(" & ".join(g.name for g in guards), holds)
 
 
 def g_or(*guards: Guard) -> Guard:
-    return Guard(
-        " | ".join(g.name for g in guards),
-        lambda env: any(g.holds(env) for g in guards),
-    )
+    tests = tuple(g.holds for g in guards)
+
+    def holds(env):
+        for test in tests:
+            if test(env):
+                return True
+        return False
+
+    return Guard(" | ".join(g.name for g in guards), holds)
 
 
 def g_not(g: Guard) -> Guard:
-    return Guard(f"!({g.name})", lambda env: not g.holds(env))
+    test = g.holds
+    return Guard(f"!({g.name})", lambda env: not test(env))
 
 
 def clock_ge(clock: str, bound: Callable[[ProtocolParams], float], label: str) -> Guard:
@@ -199,7 +209,7 @@ class ControllerInstance:
                 continue
             if t.guard is not None and not t.guard.holds(env):
                 continue
-            if not self._admissible(t, env):
+            if t.actions and not self._admissible(t, env):
                 continue
             return t
         return None

@@ -176,10 +176,13 @@ def _overlap_pos(a, b) -> bool:
     return False
 
 
+_RES0, _RES1 = (0, Kind.RESERVED), (1, Kind.RESERVED)
+
+
 def _frag_res(ts: TrafficSnapshot, view: View, car: str):
     """Reserved runs per lane of one car, from its fragment alone."""
     merged = car_fragment(ts, car, view).merged
-    return [merged.get((lane, Kind.RESERVED), []) for lane in (0, 1)]
+    return merged.get(_RES0, []), merged.get(_RES1, [])
 
 
 def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
@@ -334,13 +337,12 @@ def geom_ph(ts: TrafficSnapshot, view: View, ego: str, c: str,
 # each verdict is kept in the snapshot's store.
 
 
-def _verdict(ts, mv, key, compute):
-    full = (id(mv),) + key
-    hit = ts.cache.get(full)
+def _verdict(ts, mv, key, compute):  # key starts with id(mv)
+    hit = ts.cache.get(key)
     if hit is not None:
         return hit[1]
     value = compute()
-    ts.cache[full] = (mv, value)  # the multi-view pins the id in the key
+    ts.cache[key] = (mv, value)  # the multi-view pins the id in the key
     return value
 
 
@@ -361,7 +363,7 @@ def pc_cars(ts: TrafficSnapshot, mv: MultiView, ego: str) -> set:
                     out.add(c)
         return out
 
-    return _verdict(ts, mv, ("pc", ego), compute)
+    return _verdict(ts, mv, (id(mv), "pc", ego), compute)
 
 
 def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
@@ -376,7 +378,7 @@ def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
                     out.add(c)
         return out
 
-    return _verdict(ts, mv, ("ph", ego), compute)
+    return _verdict(ts, mv, (id(mv), "ph", ego), compute)
 
 
 def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
@@ -384,21 +386,19 @@ def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
     """Crossing-ahead, judged on the view aligned with the ego path."""
     if not mv.views:
         return False
-    return _verdict(
-        ts, mv, ("ca", ego),
-        lambda: geom_ca(ts, mv.views[0], ego, params.d_c),
-    )
+    return _verdict(ts, mv, (id(mv), "ca", ego),
+                    lambda: geom_ca(ts, mv.views[0], ego, params.d_c))
 
 
 def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
     """Reservation on a crossing, read from the car's own fragments only."""
-    return _verdict(ts, mv, ("oc", car),
+    return _verdict(ts, mv, (id(mv), "oc", car),
                     lambda: any(geom_oc(ts, v, car) for v in mv.views))
 
 
 def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
     """Mid lane change, read from the car's own fragments only."""
-    return _verdict(ts, mv, ("lc", car),
+    return _verdict(ts, mv, (id(mv), "lc", car),
                     lambda: any(geom_lc(ts, v, car) for v in mv.views))
 
 
@@ -431,4 +431,4 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
                         return (c, idx)
         return None
 
-    return _verdict(ts, mv, ("col", ego, ground_truth), compute)
+    return _verdict(ts, mv, (id(mv), "col", ego, ground_truth), compute)

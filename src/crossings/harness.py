@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import ControllerInstance, GuardEnv
 from .comm import Bus, Listener, Message
@@ -38,8 +38,9 @@ from .views import build_multiview
 FUEL = 64  # micro-step passes per tick before "livelock suspected"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace line: equal by value, rendered as ``time kind key=value ...``."""
+
     time: float
     kind: str
     payload: tuple  # ordered (key, value) pairs, values already strings
@@ -91,19 +92,11 @@ class Simulation:
     # -- views ---------------------------------------------------------------
 
     def _mv(self, cid):
-        return build_multiview(
-            self.topo, self.ts, cid, self.scenario.h_b, self.scenario.h_f
-        )
+        return build_multiview(self.topo, self.ts, cid, self.scenario.h_b, self.scenario.h_f)
 
     def env_for(self, inst: ControllerInstance) -> GuardEnv:
-        return GuardEnv(
-            ts=self.ts,
-            mv=self._mv(inst.car),
-            clocks=inst.clocks,
-            data=inst.data,
-            params=self.params,
-            car=inst.car,
-        )
+        return GuardEnv(self.ts, self._mv(inst.car), inst.clocks, inst.data, self.params,
+                        inst.car)
 
     # -- events ----------------------------------------------------------------
 
@@ -111,10 +104,10 @@ class Simulation:
         self.events.append(TraceEvent(self.time, kind, tuple(payload)))
 
     def _emit_snapshot(self) -> None:
-        for cid in self.ts.car_ids():
-            s = self.ts.cars[cid]
-            self.emit(
-                "Snapshot",
+        append, time, cars = self.events.append, self.time, self.ts.cars
+        for cid in sorted(cars):
+            s = cars[cid]
+            append(TraceEvent(time, "Snapshot", (
                 ("car", cid),
                 ("node", str(s.node)),
                 ("pos", f"{s.pos:.6f}"),
@@ -123,7 +116,7 @@ class Simulation:
                 ("clm", _fmt_nodes(s.clm)),
                 ("cres", _fmt_nodes(s.cres)),
                 ("cclm", _fmt_nodes(s.cclm)),
-            )
+            )))
 
     # -- micro-step fixpoint ----------------------------------------------------
 
@@ -248,7 +241,7 @@ class Simulation:
 
     def check_invariants(self) -> None:
         for inst in self.instances:
-            if not inst.invariant_ok(self.env_for(inst)):
+            if inst.state in inst.defn.invariants and not inst.invariant_ok(self.env_for(inst)):
                 self.emit(
                     "Violation",
                     ("kind", "invariant"),

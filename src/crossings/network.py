@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 LANE, CROSSING = 0, 1
@@ -83,12 +84,21 @@ class UrbanRoadNetwork:
         for adj in (self._succ, self._pred):
             for n in adj:
                 adj[n].sort()
+        self._prefix: dict = {}  # path -> prefix_sums(path)
 
     def successors(self, n: NodeId) -> list[NodeId]:
         return self._succ.get(n, [])
 
     def predecessors(self, n: NodeId) -> list[NodeId]:
         return self._pred.get(n, [])
+
+    def prefix_sums(self, path: tuple) -> list[float]:
+        """Where each node of ``path`` starts along it, then its length."""
+        out = self._prefix.get(path)
+        if out is None:
+            weights = map(self.weights.__getitem__, path)
+            out = self._prefix[path] = list(accumulate(weights, initial=0.0))
+        return out
 
     def lane_partner(self, n: NodeId) -> Optional[NodeId]:
         """The unique lane joined to ``n`` by an undirected edge, if any."""

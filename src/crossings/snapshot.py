@@ -14,9 +14,10 @@ references this model abstracts from:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .network import NodeId, UrbanRoadNetwork
 
@@ -51,11 +52,11 @@ class TrafficSnapshot:
     """The cars on a network, plus what is derived from them.
 
     The snapshot owns everything computed from it and drops it with itself.
-    ``car_cache`` holds, per car id, what is derived from that car alone
-    (its multi-view, occupancy and view fragments), which depends only on its
-    own state and the network; ``with_car`` hands it on for every car it
-    leaves untouched, and the replaced car's multi-view too while its path,
-    node and position stay (no controller action changes them).
+    ``car_cache`` holds, per car id (made on first lookup), what is derived
+    from that car alone (its multi-view, occupancy and view fragments), which
+    depends only on its own state and the network; ``with_car`` hands it on
+    for every car it leaves untouched, and the replaced car's multi-view too
+    while its path, node and position stay (no controller action changes them).
     ``cache`` holds what reads every car (guard verdicts per multi-view)
     and starts empty in every new snapshot.
     Entries keyed on an object's ``id()`` hold that object, so the id stays
@@ -64,7 +65,8 @@ class TrafficSnapshot:
 
     cars: dict  # car id -> CarState; treat as read-only
     net: UrbanRoadNetwork
-    car_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    car_cache: dict = field(default_factory=lambda: defaultdict(dict), init=False,
+                            repr=False, compare=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def car_ids(self) -> list[str]:
@@ -198,35 +200,23 @@ def physical_extent(ts: TrafficSnapshot, observer: str, cid: str):
     return _walk(ts, s, s.size)
 
 
-def _prefix(net: UrbanRoadNetwork, path: Sequence[NodeId]) -> list[float]:
-    out = [0.0]
-    for n in path:
-        out.append(out[-1] + net.weights[n])
-    return out
-
-
-def _movement_limit(ts: TrafficSnapshot, cid: str) -> float:
+def _movement_limit(ts: TrafficSnapshot, cid: str, s: CarState, prefix) -> float:
     """Max rear coordinate (in own-path prefix coordinates) this tick."""
-    s = ts.cars[cid]
-    prefix = _prefix(ts.net, s.path)
+    path, curr = s.path, s.curr
     margin = s.size + s.braking + EPS_STOP
     limit = float("inf")
-    for j in range(s.curr + 1, len(s.path)):
-        n = s.path[j]
+    for j in range(curr + 1, len(path)):
+        n = path[j]
         if n.is_crossing and n not in s.cres:
-            limit = min(limit, prefix[j] - margin)
+            limit = prefix[j] - margin
             break
-    node_index = {}
-    for j in range(s.curr, len(s.path)):
-        node_index.setdefault(s.path[j], j)
-    rear = prefix[s.curr] + s.pos
+    ahead = path[curr:]
+    rear = prefix[curr] + s.pos
     for oid, other in ts.cars.items():
-        if oid == cid:
+        node = other.path[other.curr]
+        if oid == cid or node not in ahead:
             continue
-        j = node_index.get(other.path[other.curr])
-        if j is None:
-            continue
-        other_rear = prefix[j] + other.pos
+        other_rear = prefix[curr + ahead.index(node)] + other.pos
         if other_rear > rear:
             limit = min(limit, other_rear - margin)
     return limit
@@ -246,26 +236,25 @@ def evolve(ts: TrafficSnapshot, dt: float) -> TrafficSnapshot:
     new_cars = {}
     for cid in ts.car_ids():
         s = ts.cars[cid]
-        prefix = _prefix(ts.net, s.path)
+        path = s.path
+        prefix = ts.net.prefix_sums(path)
         rear = prefix[s.curr] + s.pos
-        target = min(rear + s.speed * dt, _movement_limit(ts, cid))
+        target = min(rear + s.speed * dt, _movement_limit(ts, cid, s, prefix))
         target = max(target, rear)  # never slide backwards
         if target + s.size + s.braking > prefix[-1] + 1e-12:
             continue  # departs the modelled world
         curr = s.curr
-        res = set(s.res)
-        while curr + 1 < len(s.path) and target >= prefix[curr + 1]:
-            leaving, entering = s.path[curr], s.path[curr + 1]
+        res = s.res
+        while curr + 1 < len(path) and target >= prefix[curr + 1]:
+            leaving, entering = path[curr], path[curr + 1]
             if entering.is_crossing and entering not in s.cres:
                 raise AssertionError(f"{cid} rolled onto unreserved {entering}")
             if entering.is_lane:
-                if leaving.is_lane:
-                    res.discard(leaving)
-                res.add(entering)
+                res = (res - {leaving} if leaving.is_lane else res) | {entering}
             curr += 1
-        new_cars[cid] = replace(
-            s, curr=curr, pos=target - prefix[curr], res=frozenset(res)
-        )
+        new_cars[cid] = CarState(path, curr, target - prefix[curr], s.speed, s.size,
+                                 s.braking, s.heading_with_lane, s.clm, res, s.cclm,
+                                 s.cres)
     return TrafficSnapshot(new_cars, ts.net)
 
 

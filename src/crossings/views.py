@@ -267,7 +267,7 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     """
     if not (h_b > 0 and h_f > 0):
         raise ValueError("horizons must be positive")
-    memo = ts.car_cache.setdefault(e, {})
+    memo = ts.car_cache[e]
     key = ("mv", topo, h_b, h_f)
     hit = memo.get(key)
     if hit is not None:
@@ -282,41 +282,39 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     return mv
 
 
-def _extent_entries(ts, owner, cid, ground_truth):
-    if ground_truth or cid == owner:
-        return safety_envelope(ts, cid)
-    return physical_extent(ts, owner, cid)
-
-
 def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
     """((node, lo, hi) reserved, claimed nodes) in node-local coordinates,
     kept in the snapshot's per-car store."""
     mode = "gt" if ground_truth else ("own" if own_view else "seen")
-    s = ts.cars[cid]
-    memo = ts.car_cache.setdefault(cid, {})
+    memo = ts.car_cache[cid]
     hit = memo.get(mode)
     if hit is not None:
         return hit
-    try:
-        entries = _extent_entries(ts, cid if own_view else "", cid, ground_truth)
+    s = ts.cars[cid]
+    net = ts.net
+    try:  # the owner and the monitor see the safety envelope, others the car
+        entries = safety_envelope(ts, cid) if ground_truth or own_view \
+            else physical_extent(ts, "", cid)
     except PathExhausted:
         entries = []
     reserved = []
+    lane_change = len(s.res) == 2
     for node, (lo, hi) in entries:
         reserved.append((node, lo, hi))
         # a car changing lanes occupies the same stretch of both lanes;
         # paired lanes run antiparallel, so the partner interval flips
-        if node.is_lane and node in s.res and len(s.res) == 2:
-            partner = ts.net.lane_partner(node)
+        if lane_change and node.is_lane and node in s.res:
+            partner = net.lane_partner(node)
             if partner in s.res:
-                w = ts.net.weights[partner]
+                w = net.weights[partner]
                 reserved.append((partner, w - hi, w - lo))
-    if mode == "own":
+    if mode == "own" and s.cres:
         touched = {n for n, _, _ in reserved}
         for n in sorted(s.cres):
             if n not in touched:
-                reserved.append((n, 0.0, ts.net.weights[n]))
-    claimed = [(n, 0.0, ts.net.weights[n]) for n in sorted(s.clm | s.cclm)]
+                reserved.append((n, 0.0, net.weights[n]))
+    claimed = [(n, 0.0, net.weights[n]) for n in sorted(s.clm | s.cclm)] \
+        if s.clm or s.cclm else []
     memo[mode] = (reserved, claimed)
     return reserved, claimed
 
@@ -329,16 +327,19 @@ class CarFragment:
 
     def __init__(self, intervals):
         self.intervals = intervals
-        grouped: dict = {}
+        self.merged = merged = {}  # (lane, kind) -> runs
         for lane_idx, lo, hi, kind, _crossing in intervals:
-            grouped.setdefault((lane_idx, kind), []).append((lo, hi))
-        self.merged = {
-            key: ivs if len(ivs) == 1 else merge_runs(ivs)
-            for key, ivs in grouped.items()
-        }
+            runs = merged.get((lane_idx, kind))
+            if runs is None:
+                merged[lane_idx, kind] = [(lo, hi)]
+            else:
+                runs.append((lo, hi))
+        for key, runs in merged.items():
+            if len(runs) > 1:
+                merged[key] = merge_runs(runs)
 
 
-_EMPTY = CarFragment(())  # shared by every car with no node on a view
+_EMPTY = CarFragment(())  # shared by every car with nothing on a view
 
 
 def merge_runs(intervals):
@@ -356,7 +357,8 @@ def merge_runs(intervals):
 def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
                  ground_truth: bool = False) -> CarFragment:
     """One car's projected occupancy on a view, clipped to X, kept in the
-    snapshot's per-car store.
+    snapshot's per-car store; a car with nothing left on the view after
+    clipping gets the one shared empty fragment.
 
     Reserved space is the car's extent: the full safety envelope for the
     view owner, sensor-perceived physical size for the others.  The owner
@@ -369,37 +371,31 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     worst-case physical space, not bookkeeping.
     """
     own = not ground_truth and cid == view.owner
-    memo = ts.car_cache.setdefault(cid, {})
+    memo = ts.car_cache[cid]
     lanes = view.lanes
     key = (id(lanes[0]), id(lanes[1]), view.extent, own, ground_truth)
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
     reserved_nodes, claimed_nodes = _node_occupancy(ts, cid, own, ground_truth)
-    if not any(node in vlane.placements for nodes in (reserved_nodes, claimed_nodes)
-               for node, _, _ in nodes for vlane in lanes):
-        memo[key] = (lanes, _EMPTY)
-        return _EMPTY
     a, b = view.extent
+    placements = ((0, lanes[0].placements), (1, lanes[1].placements))
     out = []
-
-    def emit(lane_idx, span, lo_local, hi_local, kind):
-        if span.node.is_crossing:
-            lo, hi = span.lo, span.hi
-        elif span.reversed:
-            lo, hi = span.hi - hi_local, span.hi - lo_local
-        else:
-            lo, hi = span.lo + lo_local, span.lo + hi_local
-        lo, hi = max(lo, a), min(hi, b)
-        if hi > lo:
-            out.append((lane_idx, lo, hi, kind, span.node.is_crossing))
-
     for kind, nodes in ((Kind.RESERVED, reserved_nodes), (Kind.CLAIMED, claimed_nodes)):
-        for node, lo, hi in nodes:
-            for lane_idx, vlane in enumerate(lanes):
-                for span in vlane.placements.get(node, ()):
-                    emit(lane_idx, span, lo, hi, kind)
-    fragment = CarFragment(out)
+        for node, lo_local, hi_local in nodes:
+            crossing = node.is_crossing
+            for lane_idx, on_lane in placements:
+                for span in on_lane.get(node, ()):
+                    if crossing:
+                        lo, hi = span.lo, span.hi
+                    elif span.reversed:
+                        lo, hi = span.hi - hi_local, span.hi - lo_local
+                    else:
+                        lo, hi = span.lo + lo_local, span.lo + hi_local
+                    lo, hi = max(lo, a), min(hi, b)
+                    if hi > lo:
+                        out.append((lane_idx, lo, hi, kind, crossing))
+    fragment = CarFragment(out) if out else _EMPTY
     memo[key] = (lanes, fragment)  # the lanes pin the ids in the key
     return fragment
 
@@ -438,11 +434,11 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
         index.setdefault(node, []).append((lo, hi))
     out = []
     for cid in sorted(ts.cars):
-        reserved, claimed = node_occupancy(ts, cid, owner, ground_truth)
-        for node, lo, hi in (reserved + claimed if claims else reserved):
+        reserved, claimed = _node_occupancy(ts, cid, not ground_truth and cid == owner,
+                                            ground_truth)
+        for node, lo, hi in (reserved + claimed if claims and claimed else reserved):
             near = index.get(node)
-            if near and any(lo < b + NODE_TOL and a < hi + NODE_TOL
-                            for a, b in near):
+            if near and any(lo < b + NODE_TOL and a < hi + NODE_TOL for a, b in near):
                 out.append(cid)
                 break
     return out
