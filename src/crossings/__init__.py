@@ -48,7 +48,7 @@ from .logic import (
     pretty,
     somewhere,
 )
-from .comm import Bus, CommError, Listener, Message
+from .comm import Bus, CommError, Message
 from .harness import Simulation, TraceEvent, Verdict, run, write_trace
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 

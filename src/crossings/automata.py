@@ -12,6 +12,7 @@ accepted message.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,11 +38,6 @@ class GuardEnv:
     def with_bindings(self, bindings: dict) -> "GuardEnv":
         return GuardEnv(self.ts, self.mv, self.clocks, {**self.data, **bindings},
                         self.params, self.car)
-
-    def cs_own(self) -> frozenset:
-        """Crossing segments this car claims or reserves, from the snapshot."""
-        s = self.ts.cars[self.car]
-        return s.cclm | s.cres
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,18 @@ def g_not(g: Guard) -> Guard:
     return Guard(f"!({g.name})", lambda env: not test(env))
 
 
-def clock_ge(clock: str, bound: Callable[[ProtocolParams], float], label: str) -> Guard:
-    return Guard(f"{clock} >= {label}",
-                 lambda env: env.clocks[clock] >= bound(env.params) - CLOCK_EPS)
+# comparison -> (test, slack added to the bound)
+_CLOCK_TESTS = {"<": (operator.lt, -CLOCK_EPS), "<=": (operator.le, CLOCK_EPS),
+                ">=": (operator.ge, -CLOCK_EPS)}
 
 
-def clock_le(clock: str, bound, label: str) -> Guard:
-    return Guard(f"{clock} <= {label}",
-                 lambda env: env.clocks[clock] <= bound(env.params) + CLOCK_EPS)
-
-
-def clock_lt(clock: str, bound, label: str) -> Guard:
-    return Guard(f"{clock} < {label}",
-                 lambda env: env.clocks[clock] < bound(env.params) - CLOCK_EPS)
+def clock_guard(params: ProtocolParams, clock: str, op: str, *names: str) -> Guard:
+    """``clock op p.name + ...``, labelled with the parameter names in the
+    given order; the bound is summed from ``params`` once, here."""
+    test, slack = _CLOCK_TESTS[op]
+    bound = sum(getattr(params, name) for name in names) + slack
+    return Guard(f"{clock} {op} {' + '.join(names)}",
+                 lambda env: test(env.clocks[clock], bound))
 
 
 @dataclass(frozen=True)

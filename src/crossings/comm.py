@@ -1,18 +1,18 @@
 """Broadcast channels carrying finite data tuples.
 
-An output never blocks the sender; it reaches exactly those receivers whose
-guard accepts the bound payload.  Messages are not persisted: whoever is not
-listening at send time never sees them.  Delivery is reliable: every listener
-hears every message at once.  The protocol's safety rests on this, as a car
-reserves only after every potential helper heard its ``cross``.  A channel is
-a name and the number of values its messages carry; a message is its
-channel, payload and sender.
+An output never blocks the sender; it reaches exactly those receivers that
+accept it, and each receiver's answer comes back in the broadcast's report.
+Messages are not persisted: whoever is not listening at send time never sees
+them.  Delivery is reliable: every listener hears every message at once.
+The protocol's safety rests on this, as a car reserves only after every
+potential helper heard its ``cross``.  A channel is a name and the number of
+values its messages carry; a message is its channel, payload and sender.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class CommError(ValueError):
@@ -24,15 +24,6 @@ class Message:
     channel: str
     payload: tuple
     sender: str
-
-
-@dataclass
-class Listener:
-    """One party offered a message, with the guard that decides acceptance."""
-
-    uid: str
-    car: str
-    guard: Callable[[Message], bool]
 
 
 @dataclass
@@ -54,22 +45,25 @@ class Bus:
                 f"got {len(msg.payload)}"
             )
 
-    def broadcast(self, msg: Message, listeners) -> list:
-        """Offer the message to the listeners; returns (uid, accepted) pairs.
+    def broadcast(self, msg: Message, receivers: Iterable, accept: Callable) -> list:
+        """Offer the message to the receivers (anything with a ``car``);
+        returns (receiver, answer) pairs, the answer ``accept(receiver)``,
+        falsy for a receiver that does not take the message.
 
-        The bus only asks guards; receivers act on the report afterwards, so
-        every receiver judges the same state.  Within one car the listeners
-        are offered in the given order and the first acceptance consumes the
+        The bus only asks; receivers act on the report afterwards, so every
+        receiver judges the same state.  Within one car the receivers are
+        offered in the given order and the first acceptance consumes the
         message.  The sender never receives its own broadcast.
         """
         self.check(msg)
         report = []
         taken_cars = set()
-        for listener in listeners:
-            if listener.car == msg.sender or listener.car in taken_cars:
+        for receiver in receivers:
+            car = receiver.car
+            if car == msg.sender or car in taken_cars:
                 continue
-            verdict = bool(listener.guard(msg))
-            report.append((listener.uid, verdict))
-            if verdict:
-                taken_cars.add(listener.car)
+            answer = accept(receiver)
+            report.append((receiver, answer))
+            if answer:
+                taken_cars.add(car)
         return report

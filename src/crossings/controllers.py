@@ -1,4 +1,4 @@
-"""The crossing, helper and road controllers.
+"""The crossing, helper and road controllers, as declarations only.
 
 The crossing controller claims the segments of the upcoming intersection,
 probes for potential collisions and helpers, asks the helpers over the
@@ -8,27 +8,31 @@ their own local knowledge (their own claimed/reserved segments), decline
 conflicts immediately and guard an enquirer they committed to against third
 cars.  The road controller here is reduced to withdrawing lane claims near a
 crossing; overtaking is not modelled.
+
+Nothing here decides a predicate: a spatial guard calls its direct check in
+`formulas` (``phinv`` included), and a clock guard names the `ProtocolParams`
+fields whose sum bounds it, read once from the controller's ``params``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .automata import (
     ControllerDefinition,
     ActionSpec,
     Guard,
-    GuardEnv,
     InputSpec,
     OutputSpec,
     Transition,
-    clock_ge,
-    clock_le,
-    clock_lt,
+    clock_guard,
     g_and,
     g_not,
     g_or,
 )
 from .comm import Bus
-from .formulas import check_ca, check_lc, check_oc, col_witness, pc_cars, ph_cars
+from .formulas import (check_ca, check_lc, check_oc, check_phinv, col_witness, pc_cars,
+                       ph_cars)
 from .params import ProtocolParams
 from .snapshot import Action, ActionKind
 
@@ -41,60 +45,25 @@ def standard_channels(bus: Bus) -> None:
 
 
 # -- spatial guards ----------------------------------------------------------
+# (each calls its `formulas` check through this module's global name, so a
+# rebinding of that name reaches the guard too)
 
-def _ca(env: GuardEnv) -> bool:
-    return check_ca(env.ts, env.mv, env.car, env.params)
-
-
-def _pc_any(env: GuardEnv) -> bool:
-    return bool(pc_cars(env.ts, env.mv, env.car))
-
-
-def _ph_any(env: GuardEnv) -> bool:
-    return bool(ph_cars(env.ts, env.mv, env.car, env.params))
-
-
-def _unanswered_ph(env: GuardEnv) -> bool:
-    return bool(ph_cars(env.ts, env.mv, env.car, env.params) - env.data["H"])
-
-
-def _lc_self(env: GuardEnv) -> bool:
-    return check_lc(env.ts, env.mv, env.car)
-
-
-def _col_self(env: GuardEnv) -> bool:
-    return col_witness(env.ts, env.mv, env.car) is not None
-
-
-def _oc_self(env: GuardEnv) -> bool:
-    return check_oc(env.ts, env.mv, env.car)
-
-
-G_CA = Guard("ca(ego)", _ca)
-G_PC_ANY = Guard("E c: pc(c)", _pc_any)
-G_PH_ANY = Guard("E c: ph(c)", _ph_any)
-G_UNANSWERED = Guard("E c in I\\H: ph(c)", _unanswered_ph)
-G_LC = Guard("lc(ego)", _lc_self)
-G_COL = Guard("col(ego)", _col_self)
-G_OC = Guard("oc(ego)", _oc_self)
-
-
-def phinv_holds(env: GuardEnv, enquirer, segments) -> bool:
-    """Receiver-side potential-helper check for a crossing request."""
-    if enquirer == env.car:
-        return False
-    if env.cs_own() & frozenset(segments):
-        return False
-    if check_lc(env.ts, env.mv, env.car):
-        return False
-    return check_oc(env.ts, env.mv, env.car) or check_ca(env.ts, env.mv, env.car, env.params)
-
-
-def _phinv_stored(env: GuardEnv) -> bool:
-    return phinv_holds(env, env.data["h"], env.data["cs_h"])
-
-
-G_PHINV_STORED = Guard("phinv(h, cs_h)", _phinv_stored)
+G_CA = Guard("ca(ego)", lambda env: check_ca(env.ts, env.mv, env.car, env.params))
+G_PC_ANY = Guard("E c: pc(c)", lambda env: bool(pc_cars(env.ts, env.mv, env.car)))
+G_PH_ANY = Guard("E c: ph(c)",
+                 lambda env: bool(ph_cars(env.ts, env.mv, env.car, env.params)))
+G_UNANSWERED = Guard(
+    "E c in I\\H: ph(c)",
+    lambda env: bool(ph_cars(env.ts, env.mv, env.car, env.params) - env.data["H"]),
+)
+G_LC = Guard("lc(ego)", lambda env: check_lc(env.ts, env.mv, env.car))
+G_COL = Guard("col(ego)", lambda env: col_witness(env.ts, env.mv, env.car) is not None)
+G_OC = Guard("oc(ego)", lambda env: check_oc(env.ts, env.mv, env.car))
+G_PHINV_STORED = Guard(
+    "phinv(h, cs_h)",
+    lambda env: check_phinv(env.ts, env.mv, env.car, env.data["h"], env.data["cs_h"],
+                            env.params),
+)
 
 
 # -- actions -----------------------------------------------------------------
@@ -129,13 +98,14 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
     once; the stronger guard only removes runs, and q1's invariant ``ca``
     still holds while the car waits.
     """
+    x = partial(clock_guard, params, "x")
     invariants = {
         "q0": g_not(G_COL),
         "q1": G_CA,
-        "q2": g_and(G_CA, clock_le("x", lambda p: p.t_o, "t_o")),
-        "q3": g_and(G_CA, g_not(G_PC_ANY), clock_le("x", lambda p: p.t_w, "t_w")),
-        "q4": g_and(clock_le("x", lambda p: p.t_cr, "t_cr"), G_OC),
-        "q5": g_and(clock_le("x", lambda p: p.t_cr, "t_cr"), G_OC),
+        "q2": g_and(G_CA, x("<=", "t_o")),
+        "q3": g_and(G_CA, g_not(G_PC_ANY), x("<=", "t_w")),
+        "q4": g_and(x("<=", "t_cr"), G_OC),
+        "q5": g_and(x("<=", "t_cr"), G_OC),
     }
     send_cross = OutputSpec(
         "cross", lambda env: (env.car, env.ts.cars[env.car].cclm), "cross!(ego, cs)"
@@ -147,7 +117,7 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
         Transition("q0", "q1", "crossing ahead", guard=G_CA,
                    updates=(("failed", lambda env: False),)),
         Transition("q1", "q2", "claim crossing",
-                   guard=g_or(not_failed, clock_ge("x", lambda p: p.t_w, "t_w")),
+                   guard=g_or(not_failed, x(">=", "t_w")),
                    actions=(ACT_CC,), resets=("x",)),
         Transition("q2", "q1", "potential collision", guard=G_PC_ANY,
                    actions=(ACT_WD_CC,), updates=set_failed, resets=("x",)),
@@ -179,25 +149,25 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
         Transition(
             "q3", "q4", "all helpers answered",
             guard=g_and(
-                clock_ge("x", lambda p: p.t_w, "t_w"),
+                x(">=", "t_w"),
                 g_not(G_UNANSWERED), g_not(G_PC_ANY), g_not(G_LC),
             ),
             actions=(ACT_RC,), resets=("x",),
         ),
         Transition(
             "q3", "q1", "helper timeout",
-            guard=g_and(clock_ge("x", lambda p: p.t_w, "t_w"), G_UNANSWERED),
+            guard=g_and(x(">=", "t_w"), G_UNANSWERED),
             actions=(ACT_WD_CC,), outputs=(send_finished,),
             updates=set_failed, resets=("x",),
         ),
         Transition(
             "q4", "q0", "manoeuvre finished",
-            guard=clock_ge("x", lambda p: p.t_cr, "t_cr"),
+            guard=x(">=", "t_cr"),
             actions=(ACT_WD_RC,), outputs=(send_finished,),
         ),
         Transition(
             "q5", "q0", "manoeuvre finished",
-            guard=clock_ge("x", lambda p: p.t_cr, "t_cr"),
+            guard=x(">=", "t_cr"),
             actions=(ACT_WD_RC,),
         ),
     )
@@ -216,14 +186,17 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
     q0 idle; q1/q3/q5 are urgent decline states; q2 committing to an
     enquirer (answer due within t); q4 guarding the enquirer's manoeuvre.
     """
+    x = partial(clock_guard, params, "x")
     conflict_guard = Guard(
         "c != a & cs n cs_a != {}",
         lambda env: env.data["c"] != env.car
-        and bool(frozenset(env.data["cs"]) & env.cs_own()),
+        and bool(frozenset(env.data["cs"])
+                 & (env.ts.cars[env.car].cclm | env.ts.cars[env.car].cres)),
     )
     phinv_guard = Guard(
         "phinv(c, cs)",
-        lambda env: phinv_holds(env, env.data["c"], env.data["cs"]),
+        lambda env: check_phinv(env.ts, env.mv, env.car, env.data["c"], env.data["cs"],
+                                env.params),
     )
     third_conflict = Guard(
         "c != h & cs_h n cs != {}",
@@ -236,9 +209,9 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
     send_yes = OutputSpec("yes", lambda env: (env.data["h"], env.car), "yes!(h, a)")
 
     invariants = {
-        "q2": g_and(G_PHINV_STORED, clock_lt("x", lambda p: p.t, "t")),
+        "q2": g_and(G_PHINV_STORED, x("<", "t")),
         "q4": g_and(G_PHINV_STORED,
-                    clock_le("x", lambda p: p.t_w + p.t_cr, "t_w + t_cr")),
+                    x("<=", "t_w", "t_cr")),
     }
     transitions = (
         Transition(
@@ -268,12 +241,12 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
         ),
         Transition(
             "q2", "q4", "commit with yes",
-            guard=g_and(G_PHINV_STORED, clock_lt("x", lambda p: p.t, "t")),
+            guard=g_and(G_PHINV_STORED, x("<", "t")),
             outputs=(send_yes,), resets=("x",),
         ),
         Transition(
             "q2", "q0", "cannot help",
-            guard=g_or(clock_ge("x", lambda p: p.t, "t"), g_not(G_PHINV_STORED)),
+            guard=g_or(x(">=", "t"), g_not(G_PHINV_STORED)),
             outputs=(send_no_h,),
         ),
         Transition("q3", "q2", "decline", outputs=(send_no_d,)),
@@ -289,7 +262,7 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
         Transition(
             "q4", "q0", "helping expired",
             guard=g_or(g_not(G_PHINV_STORED),
-                       clock_ge("x", lambda p: p.t_cr + p.t_w, "t_cr + t_w")),
+                       x(">=", "t_cr", "t_w")),
         ),
         Transition("q5", "q4", "decline", outputs=(send_no_d,)),
     )

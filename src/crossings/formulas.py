@@ -2,15 +2,15 @@
 
 The AST builders give the exact logic-level formulation of every check the
 controllers use (reachable from concrete syntax as ``@ca``, ``@pc(c)``, ...).
-The ``geom_*`` functions compute the same predicates straight from the
-projected occupancy intervals; the controller engine and the safety monitor
-call these on every tick, so they avoid the zone evaluator where the pattern
-allows it.  They also project only the cars that can change the verdict:
-those whose node-local occupancy meets the ego's, or the stretch in
-question, on a shared network node (the broad phase in ``views``); none
-reads every car.  ``test_formulas`` pins both routes against each other on
-randomized snapshots and on scenes where the guards are true, and the
-narrowed checks against all-car scans.
+Beside them live the direct checks, the one definition of each predicate the
+controllers and the safety monitor decide on every tick (``check_phinv``
+included): the ``geom_*`` functions and the multi-view checks built on them
+compute the predicates straight from the projected occupancy intervals, and
+project only the cars that can change the verdict: those whose node-local
+occupancy meets the ego's, or the stretch in question, on a shared network
+node (the broad phase in ``views``); none reads every car.  ``test_formulas``
+pins both routes against each other on randomized snapshots and on scenes
+where the guards are true, and the narrowed checks against all-car scans.
 """
 
 from __future__ import annotations
@@ -130,6 +130,17 @@ def phinv_formula(c: str, cs_var: str, params: ProtocolParams) -> Formula:
         Not(lc_formula("ego")),
         SetDisjoint("csa", cs_var),
     )
+
+
+def check_phinv(ts: TrafficSnapshot, mv: MultiView, ego: str, c: str, segments,
+                params: ProtocolParams) -> bool:
+    """Direct form of ``phinv_formula``, the receiver ``ego`` judging c's
+    request for ``segments``: ``lc`` and ``oc`` in any view, ``ca`` on view
+    0, and ``csa`` read from the ego's own claimed and reserved segments."""
+    s = ts.cars[ego]
+    if c == ego or (s.cclm | s.cres) & frozenset(segments) or check_lc(ts, mv, ego):
+        return False
+    return check_oc(ts, mv, ego) or check_ca(ts, mv, ego, params)
 
 
 # name -> (builder taking the params and then the arguments, min, max arguments)

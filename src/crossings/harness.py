@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .automata import ControllerInstance, GuardEnv
-from .comm import Bus, Listener, Message
+from .comm import Bus, Message
 from .controllers import (
     crossing_controller,
     helper_controller,
@@ -133,19 +133,7 @@ class Simulation:
             ("sender", msg.sender),
             ("payload", _payload_str(msg.payload)),
         )
-        pending: list[Message] = []
-        decisions = []
         idle = self.helper.initial
-
-        def listener_for(inst):
-            def guard(message):
-                hit = inst.matching_input(message, self.env_for(inst))
-                if hit is not None:
-                    decisions.append((inst, *hit))
-                return hit is not None
-
-            return Listener(inst.uid, inst.car, guard)
-
         # offer only instances that could take the message from their
         # current state; each car but the sender offers one idle helper clone
         candidates = [
@@ -157,16 +145,21 @@ class Simulation:
             others = (car for car in self.ts.car_ids() if car != msg.sender)
             candidates.extend(filter(None, map(self._idle_helper, others)))
             candidates.sort(key=_order)
-        report = self.bus.broadcast(msg, [listener_for(i) for i in candidates])
-        for uid, verdict in report:
+        report = self.bus.broadcast(
+            msg, candidates, lambda inst: inst.matching_input(msg, self.env_for(inst)))
+        for inst, answer in report:
             self.emit(
                 "Message",
-                ("role", "accept" if verdict else "reject"),
+                ("role", "accept" if answer else "reject"),
                 ("channel", msg.channel),
                 ("sender", msg.sender),
-                ("receiver", uid),
+                ("receiver", inst.uid),
             )
-        for inst, transition, bindings in decisions:
+        pending: list[Message] = []
+        for inst, answer in report:
+            if not answer:
+                continue
+            transition, bindings = answer
             if inst not in self.instances:  # a fresh clone that accepted
                 bisect.insort(self.instances, inst, key=_order)
             env = self.env_for(inst).with_bindings(bindings)

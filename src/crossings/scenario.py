@@ -47,6 +47,7 @@ CONTROLLER_KINDS = ("road", "crossing", "helper")
 CAR_FIELDS = ("path", "pos", "speed", "size", "braking", "node", "heading",
               "res", "clm", "cres", "cclm", "controllers", "monitor")
 MAX_TICKS = 1_000_000  # the bundled scenarios need at most 2,400
+POSITIVE_PARAMS = ("h_b", "b_max", "max_time", "patience")  # checked on their line
 
 
 class ScenarioError(ValueError):
@@ -79,18 +80,22 @@ def _err(line_no: int, message: str):
     raise ScenarioError(f"line {line_no}: {message}")
 
 
-def _finite(line_no, value, text, what):
+def _checked(line_no, value, text, what, sign=None):
+    """The value, unless it is not finite or ``sign`` ("positive" or
+    "non-negative") rules it out."""
     if not math.isfinite(value):
         _err(line_no, f"{what} must be finite, got {text!r}")
+    if sign == "positive" and value <= 0 or sign == "non-negative" and value < 0:
+        _err(line_no, f"{what} must be {sign}, got {text!r}")
     return value
 
 
-def _parse_float(line_no, text, what):
+def _parse_float(line_no, text, what, sign=None):
     try:
         value = float(text)
     except ValueError:
         _err(line_no, f"bad {what} {text!r}")
-    return _finite(line_no, value, text, what)
+    return _checked(line_no, value, text, what, sign)
 
 
 def _node(line_no, text):
@@ -192,7 +197,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             out = float(value)
         except ValueError:
             _err(line_no, f"bad value for {key}: {value!r}")
-        return _finite(line_no, out, value, key)
+        return _checked(line_no, out, value, key,
+                        "positive" if key in POSITIVE_PARAMS else None)
 
     params = ProtocolParams(**{f.name: param(f.name, f.default)
                                for f in dataclass_fields(ProtocolParams)})
@@ -240,9 +246,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if node not in path:
                 _err(line_no, f"car {cid}: node {node} not on its path")
             curr = path.index(node)
-        speed = _parse_float(line_no, fields.get("speed", "0"), "speed")
+        speed = _parse_float(line_no, fields.get("speed", "0"), "speed", "non-negative")
         braking = (
-            _parse_float(line_no, fields["braking"], "braking")
+            _parse_float(line_no, fields["braking"], "braking", "non-negative")
             if "braking" in fields
             else braking_distance(speed, b_max)
         )
@@ -255,7 +261,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             curr=curr,
             pos=_parse_float(line_no, fields.get("pos", "0"), "pos"),
             speed=speed,
-            size=_parse_float(line_no, fields.get("size", "4"), "size"),
+            size=_parse_float(line_no, fields.get("size", "4"), "size", "positive"),
             braking=braking,
             heading_with_lane=_parse_bool(line_no, cid, fields, "heading"),
             clm=_parse_nodes(line_no, fields.get("clm", "")),

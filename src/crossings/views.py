@@ -170,7 +170,7 @@ def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
                 cr = topo.intersection_of[s.path[k]]
 
     if cr is None or anchor_idx is None:
-        return _straight_pair(topo, s.node)
+        return _own_path_pair(topo, (s.node,), 0, 0)
     pairs = _crossing_pairs(topo, s.path, anchor_idx, s.curr, cr.id)
     if pairs:
         return pairs
@@ -195,15 +195,6 @@ def _on_topology(build):
         return hit
 
     return memoized
-
-
-@_on_topology
-def _straight_pair(topo, anchor):
-    net = topo.net
-    partner = net.lane_partner(anchor)
-    fwd = VirtualLane((anchor,), _lay_forward(topo, (anchor,), 0.0))
-    bwd = VirtualLane((partner,), _lay_backward(topo, (partner,), net.weights[anchor]))
-    return (LanePair(fwd, bwd, topo.segment_of[anchor].id),)
 
 
 @_on_topology
@@ -284,7 +275,7 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
 
 def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
     """((node, lo, hi) reserved, claimed nodes) in node-local coordinates,
-    kept in the snapshot's per-car store."""
+    kept in the snapshot's per-car store; ground truth claims nothing."""
     mode = "gt" if ground_truth else ("own" if own_view else "seen")
     memo = ts.car_cache[cid]
     hit = memo.get(mode)
@@ -314,7 +305,7 @@ def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
             if n not in touched:
                 reserved.append((n, 0.0, net.weights[n]))
     claimed = [(n, 0.0, net.weights[n]) for n in sorted(s.clm | s.cclm)] \
-        if s.clm or s.cclm else []
+        if (s.clm or s.cclm) and not ground_truth else []
     memo[mode] = (reserved, claimed)
     return reserved, claimed
 

@@ -1,4 +1,17 @@
+from importlib import resources
+
+import pytest
+
 from crossings.cli import main
+
+
+def edited_copy(tmp_path, bundled, old, new):
+    """A copy of a bundled scenario with the first ``old`` replaced by ``new``."""
+    text = resources.files("crossings").joinpath("scenarios", bundled + ".scn").read_text()
+    assert old in text
+    path = tmp_path / "edited.scn"
+    path.write_text(text.replace(old, new, 1))
+    return path
 
 
 class TestCheck:
@@ -63,19 +76,33 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "/nowhere/else.scn"]) == 2
 
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("[params]\n", "[params]\nh_b = 0\n", 38, "h_b must be positive, got '0'"),
+        ("[params]\n", "[params]\nb_max = 0\n", 38, "b_max must be positive"),
+        ("size=4", "size=0", 36, "size must be positive, got '0'"),
+        ("size=4", "size=-4", 36, "size must be positive, got '-4'"),
+        ("speed=10", "speed=-5", 36, "speed must be non-negative, got '-5'"),
+        ("size=4", "size=4 braking=-30", 36, "braking must be non-negative"),
+        ("max_time = 12", "max_time = -1", 39, "max_time must be positive"),
+        ("[params]\n", "[params]\npatience = -1\n", 38, "patience must be positive"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, line, message):
+        path = edited_copy(tmp_path, "lone-left-turn", old, new)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"line {line}: {message}" in err, err
+
+    def test_standing_car_is_valid(self, tmp_path):
+        assert main(["validate", str(edited_copy(tmp_path, "lone-left-turn",
+                                                 "speed=10", "speed=0"))]) == 0
+
 
 class TestMalformedScenario:
     """Bad input ends in exit code 2 with a message naming the line."""
 
     def run_edited(self, tmp_path, capsys, old, new):
-        from importlib import resources
-
-        text = resources.files("crossings").joinpath(
-            "scenarios", "lone-left-turn.scn").read_text()
-        assert old in text
-        path = tmp_path / "edited.scn"
-        path.write_text(text.replace(old, new, 1))
-        code = main(["run", str(path)])
+        code = main(["run", str(edited_copy(tmp_path, "lone-left-turn", old, new))])
         return code, capsys.readouterr().err
 
     def test_bad_node_in_path(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
+from typing import NamedTuple
+
 import pytest
 
-from crossings.comm import Bus, CommError, Listener, Message
+from crossings.comm import Bus, CommError, Message
 
 
 def make_bus():
@@ -28,43 +30,67 @@ class TestChannels:
             bus.check(Message("talk", ("E",), "E"))
 
 
+class Receiver(NamedTuple):
+    uid: str
+    car: str
+
+
+def report_of(bus, msg, receivers, accept):
+    return [(r.uid, answer) for r, answer in bus.broadcast(msg, receivers, accept)]
+
+
 class TestBroadcast:
     def test_guard_filters_receivers(self):
         bus = make_bus()
         msg = Message("cross", ("E", frozenset({"c0", "c1"})), "E")
-        disjoint = Listener("B/h", "B", lambda m: not (m.payload[1] & {"c3"}))
-        overlap = Listener("C/h", "C", lambda m: not (m.payload[1] & {"c0"}))
-        report = bus.broadcast(msg, [disjoint, overlap])
+        wants = {"B": {"c3"}, "C": {"c0"}}
+        report = report_of(bus, msg, [Receiver("B/h", "B"), Receiver("C/h", "C")],
+                           lambda r: not (msg.payload[1] & wants[r.car]))
         assert report == [("B/h", True), ("C/h", False)]
+
+    def test_answers_come_back_in_the_report(self):
+        bus = make_bus()
+        msg = Message("no", ("E",), "E")
+        answers = {"B": ("edge", {"c": "E"}), "C": None}
+        receivers = [Receiver("B/h", "B"), Receiver("C/h", "C")]
+        report = bus.broadcast(msg, receivers, lambda r: answers[r.car])
+        assert report == [(receivers[0], ("edge", {"c": "E"})), (receivers[1], None)]
 
     def test_sender_never_receives_its_own_message(self):
         bus = make_bus()
         msg = Message("no", ("E",), "E")
-        mine = Listener("E/h", "E", lambda m: True)
-        assert bus.broadcast(msg, [mine]) == []
+        asked = []
+        assert bus.broadcast(msg, [Receiver("E/h", "E")], asked.append) == []
+        assert asked == []
 
     def test_no_listeners_is_fine(self):
         bus = make_bus()
-        assert bus.broadcast(Message("no", ("E",), "B"), []) == []
+        assert bus.broadcast(Message("no", ("E",), "B"), [], lambda r: True) == []
 
     def test_first_listener_per_car_consumes(self):
         bus = make_bus()
         msg = Message("no", ("E",), "E")
-        first = Listener("B/h/0", "B", lambda m: True)
-        second = Listener("B/h/1", "B", lambda m: True)
-        other = Listener("C/h/0", "C", lambda m: True)
-        report = bus.broadcast(msg, [first, second, other])
+        receivers = [Receiver("B/h/0", "B"), Receiver("B/h/1", "B"),
+                     Receiver("C/h/0", "C")]
+        report = report_of(bus, msg, receivers, lambda r: True)
         assert report == [("B/h/0", True), ("C/h/0", True)]
 
+    def test_a_decline_does_not_consume(self):
+        bus = make_bus()
+        msg = Message("no", ("E",), "E")
+        receivers = [Receiver("B/h/0", "B"), Receiver("B/h/1", "B")]
+        report = report_of(bus, msg, receivers, lambda r: r.uid == "B/h/1")
+        assert report == [("B/h/0", False), ("B/h/1", True)]
+
     def test_guards_all_judge_the_same_state(self):
-        # the bus only asks guards; a receiver acts on the report afterwards,
-        # so no guard sees an earlier receiver's effects
+        # the bus only asks; a receiver acts on the report afterwards, so no
+        # receiver sees an earlier receiver's effects
         bus = make_bus()
         state = {"value": 0}
-        listeners = [Listener(f"{c}/h", c, lambda _m: state["value"] == 0)
-                     for c in "BCD"]
-        report = bus.broadcast(Message("no", ("E",), "E"), listeners)
-        for _uid, accepted in report:
+        receivers = [Receiver(f"{c}/h", c) for c in "BCD"]
+        report = bus.broadcast(Message("no", ("E",), "E"), receivers,
+                               lambda _r: state["value"] == 0)
+        for _receiver, accepted in report:
             state["value"] += accepted
         assert [v for _, v in report] == [True, True, True]
         assert state["value"] == 3

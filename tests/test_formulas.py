@@ -9,6 +9,7 @@ from crossings.formulas import (
     ca_formula,
     check_ca,
     check_lc,
+    check_phinv,
     col_formula,
     col_witness,
     geom_ca,
@@ -28,11 +29,16 @@ from crossings.formulas import (
 from crossings.harness import Simulation
 from crossings.logic import (
     EPS,
+    Eq,
     EvalContext,
+    Not,
+    SetDisjoint,
     _intersects_open,
+    ands,
     default_valuation,
     eval_formula,
     eval_multiview,
+    ors,
     pretty,
 )
 from crossings.network import NodeId, cs, lane
@@ -465,3 +471,102 @@ class TestTrueGuards:
         for ts in [*_lane_change_scenes(topo), *_gap_scenes(topo)]:
             _assert_guard_formulas_agree(topo, ts, 50.0, 150.0, PARAMS, seen)
         assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# phinv: the guard check against the formula's conjuncts
+
+
+def _requests(ts):
+    """(enquirer, segments) pairs a receiver may be asked about: each car's
+    claimed crossing cells and the run of crossing cells next on its path."""
+    for c, s in sorted(ts.cars.items()):
+        if s.cclm:
+            yield c, s.cclm
+        i = s.curr
+        while i < len(s.path) and not s.path[i].is_crossing:
+            i += 1
+        j = i
+        while j < len(s.path) and s.path[j].is_crossing:
+            j += 1
+        if j > i:
+            yield c, frozenset(s.path[i:j])
+
+
+def _assert_phinv_agrees(topo, ts, h_b, h_f, params, seen):
+    """Every car as receiver, against every request: ``check_phinv`` equals
+    ``phinv_formula``'s conjuncts, each evaluated under the mode the guard
+    judges it in: lc and oc in some view, ca on view 0, the request's
+    segments disjoint from csa = the receiver's cclm | cres."""
+    for ego in sorted(ts.cars):
+        mv = build_multiview(topo, ts, ego, h_b, h_f)
+        if not mv.views:
+            continue
+        nu = default_valuation(ts, ego)
+        nu["csa"] = ts.cars[ego].cclm | ts.cars[ego].cres
+        lc = eval_multiview(ts, mv, nu, lc_formula("ego"), mode="exists")
+        on_or_ahead = eval_multiview(ts, mv, nu, oc_formula("ego"), mode="exists") \
+            or eval_formula(ts, mv.views[0], nu, ca_formula(params))
+        for c, segments in _requests(ts):
+            nu["req"] = segments
+            not_self, disjoint = (Not(Eq("ego", c)), SetDisjoint("csa", "req"))
+            assert phinv_formula(c, "req", params) == ands(
+                not_self, ors(oc_formula("ego"), ca_formula(params)),
+                Not(lc_formula("ego")), disjoint)
+            rest = eval_formula(ts, mv.views[0], nu, ands(not_self, disjoint)) \
+                and on_or_ahead
+            got = check_phinv(ts, mv, ego, c, segments, params)
+            assert got == (rest and not lc), (ego, c, sorted(map(str, segments)))
+            seen["true"] += got
+            seen["lc"] += rest and lc
+
+
+class TestPhinv:
+    """The helper's ``phinv`` check is its formula, conjunct by conjunct.
+
+    Judged whole over the multi-view instead, the formula can disagree: on
+    sweep seed 24 from tick 28, F holds cres c0-c2 and c2 sits beside c0/c1
+    on F's view toward r2 only, so lc(F) holds in that view alone; the guard
+    then declines E's request for c3, while phinv holds on views 0 and 1.
+    """
+
+    def test_sweep_snapshots(self):
+        seen = dict.fromkeys(("true", "lc"), 0)
+        for seed in (0, 2, 5, 24):
+            scenario = sweep_scenario(seed)
+            sim = Simulation(scenario)
+            for tick in range(scenario.ticks):
+                if tick % 4 == 0:
+                    _assert_phinv_agrees(scenario.topo, sim.ts, scenario.h_b,
+                                         scenario.h_f, scenario.params, seen)
+                sim.step()
+        assert seen["true"] and seen["lc"], seen
+
+    def test_guard_scenes(self, topo):
+        seen = dict.fromkeys(("true", "lc"), 0)
+        # besides the scenes above: E mid lane change within reach of c0,
+        # asked by D about c3
+        changing = TrafficSnapshot(
+            {
+                "E": make_car(path("7", "c0", "c1", "c2", "4"), 130.0, speed=8.0,
+                              res=frozenset({lane(7), lane(6)})),
+                "D": make_car(path("5", "c3", "6"), 100.0, speed=8.0),
+            },
+            topo.net,
+        )
+        for ts in [*_lane_change_scenes(topo), *_gap_scenes(topo), changing]:
+            _assert_phinv_agrees(topo, ts, 50.0, 150.0, PARAMS, seen)
+        conflicts = set()
+        for seed in range(40):
+            scenario = negative_scenario(seed)
+            key = tuple((s.path, s.cres) for _, s in sorted(scenario.cars.items()))
+            if key in conflicts:
+                continue
+            conflicts.add(key)
+            sim = Simulation(scenario)
+            for tick in range(scenario.ticks):
+                if tick % 2 == 0:
+                    _assert_phinv_agrees(scenario.topo, sim.ts, scenario.h_b,
+                                         scenario.h_f, scenario.params, seen)
+                sim.step()
+        assert seen["true"] and seen["lc"], seen

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from crossings.automata import ControllerInstance
 from crossings.formulas import pc_cars, ph_cars
 from crossings.harness import Simulation, run, write_trace
 from crossings.network import cs
@@ -163,6 +164,25 @@ class TestMonitor:
         _, events = run(scenario, max_ticks=5)
         assert not any(ev.kind == "SafetyVerdict" for ev in events)
         assert parse_scenario(text).monitored == ["E"]
+
+    def test_false_invariant_is_reported_with_its_name(self):
+        sim = Simulation(load_scenario("lone-left-turn"))
+        crossing = next(i for i in sim.instances if i.defn.name == "crossing")
+        crossing.state = "q4"  # on the crossing, yet no crossing reservation
+        sim.step()
+        helper = ControllerInstance(sim.helper, "E")
+        helper.state = "q4"  # helping the ego itself: phinv never holds
+        helper.data.update(h="E", cs_h=frozenset())
+        sim.instances.append(helper)
+        sim.check_invariants()
+        assert [ev.render() for ev in sim.events if ev.kind == "Violation"] == [
+            "0.000 Violation kind=invariant inst=E/crossing/0 state=q4 "
+            "invariant=x <= t_cr & oc(ego)",
+            "0.050 Violation kind=invariant inst=E/crossing/0 state=q4 "
+            "invariant=x <= t_cr & oc(ego)",
+            "0.050 Violation kind=invariant inst=E/helper/0 state=q4 "
+            "invariant=phinv(h, cs_h) & x <= t_w + t_cr",
+        ]
 
     def test_sweep_sample_is_safe_and_sane(self):
         for seed in (0, 1, 2, 3):

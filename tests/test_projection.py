@@ -38,8 +38,9 @@ def node_entries(ts, cid, own, ground_truth):
         covered = {entry[0] for entry in out}
         out.extend((n, 0.0, net.weights[n], Kind.RESERVED)
                    for n in s.cres if n not in covered)
-    # claims project in every mode; the monitor reads only reservations
-    out.extend((n, 0.0, net.weights[n], Kind.CLAIMED) for n in s.clm | s.cclm)
+    # ground truth is the full envelope and nothing else: no claims
+    if not ground_truth:
+        out.extend((n, 0.0, net.weights[n], Kind.CLAIMED) for n in s.clm | s.cclm)
     return out
 
 
