@@ -155,14 +155,11 @@ class ControllerInstance:
         self.defn = defn
         self.car = car
         self.clone = clone
+        self.uid = f"{car}/{defn.name}/{clone}"
         self.state = defn.initial
         self.clocks = {c: 0.0 for c in defn.clocks}
         self.data = dict(defn.data0)
         self.fired_this_tick: set = set()  # ids of action edges fired this tick
-
-    @property
-    def uid(self) -> str:
-        return f"{self.car}/{self.defn.name}/{self.clone}"
 
     def __repr__(self):
         return f"<{self.uid} @{self.state}>"

@@ -12,7 +12,7 @@ import sys
 from . import harness
 from .logic import LogicError, default_valuation, eval_multiview, parse
 from .randomgen import sweep_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import MAX_TICKS, ScenarioError, load_scenario
 from .views import build_multiview
 
 
@@ -20,6 +20,17 @@ def _load(spec: str, seed):
     if spec == "sweep":
         return sweep_scenario(0 if seed is None else seed)
     return load_scenario(spec)
+
+
+def _ticks(text: str) -> int:
+    try:
+        ticks = int(text)
+    except ValueError:
+        ticks = -1
+    if not 0 <= ticks <= MAX_TICKS:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number in [0, {MAX_TICKS:,}], got {text!r}")
+    return ticks
 
 
 def cmd_run(args) -> int:
@@ -67,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--trace", help="write the event trace to this file")
     p_run.add_argument("--seed", type=int, help="seed for the generated 'sweep' scenario")
-    p_run.add_argument("--ticks", type=int, help="override the number of ticks")
+    p_run.add_argument("--ticks", type=_ticks, help="override the number of ticks")
     p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="evaluate one formula over a car's multi-view")

@@ -39,7 +39,11 @@ FUEL = 64  # micro-step passes per tick before "livelock suspected"
 
 
 class TraceEvent(NamedTuple):
-    """One trace line: equal by value, rendered as ``time kind key=value ...``."""
+    """One trace line: equal by value, rendered as ``time kind key=value ...``.
+
+    Within one run, equal payloads are one shared tuple, and a car's
+    snapshot lines share every pair but ``pos`` while those pairs repeat.
+    """
 
     time: float
     kind: str
@@ -83,6 +87,10 @@ class Simulation:
             if defn.name in scenario.equipped.get(cid, ())
         ]
         self.events: list[TraceEvent] = []
+        # the run's payload memo: each distinct payload, and each car's
+        # formatted snapshot pairs but pos, is built once and then shared
+        self._payloads: dict = {}
+        self._snapshot_pairs: dict = {}
         self.verdict = Verdict()
         self.time = 0.0
         self.tick = 0
@@ -101,22 +109,31 @@ class Simulation:
     # -- events ----------------------------------------------------------------
 
     def emit(self, kind: str, *payload) -> None:
-        self.events.append(TraceEvent(self.time, kind, tuple(payload)))
+        self.events.append(TraceEvent(self.time, kind,
+                                      self._payloads.setdefault(payload, payload)))
 
     def _emit_snapshot(self) -> None:
+        # every pos differs, so snapshot payloads are not interned whole
         append, time, cars = self.events.append, self.time, self.ts.cars
+        memo = self._snapshot_pairs
         for cid in sorted(cars):
             s = cars[cid]
+            node = s.node
+            key = (cid, node, s.speed, s.res, s.clm, s.cres, s.cclm)
+            pairs = memo.get(key)
+            if pairs is None:
+                pairs = memo[key] = (
+                    ("car", cid),
+                    ("node", str(node)),
+                    ("speed", f"{s.speed:.6f}"),
+                    ("res", _fmt_nodes(s.res)),
+                    ("clm", _fmt_nodes(s.clm)),
+                    ("cres", _fmt_nodes(s.cres)),
+                    ("cclm", _fmt_nodes(s.cclm)),
+                )
+            car, node_pair, speed, res, clm, cres, cclm = pairs
             append(TraceEvent(time, "Snapshot", (
-                ("car", cid),
-                ("node", str(s.node)),
-                ("pos", f"{s.pos:.6f}"),
-                ("speed", f"{s.speed:.6f}"),
-                ("res", _fmt_nodes(s.res)),
-                ("clm", _fmt_nodes(s.clm)),
-                ("cres", _fmt_nodes(s.cres)),
-                ("cclm", _fmt_nodes(s.cclm)),
-            )))
+                car, node_pair, ("pos", f"{s.pos:.6f}"), speed, res, clm, cres, cclm)))
 
     # -- micro-step fixpoint ----------------------------------------------------
 

@@ -641,11 +641,28 @@ def _tokenize(text: str):
     return tokens
 
 
+# how deep a parsed formula may nest, so that parsing and evaluating it stay
+# far inside Python's recursion limit: each operator, bracket or parenthesis
+# around a sub-formula is one level, ``<f>`` four (the chops it stands for);
+# the builtins are built, not parsed, and are at most 21 deep
+MAX_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, text: str, params=None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.params = params
+        self.depth = 0
+
+    def nested(self, parse, at, levels=1) -> Formula:
+        """``parse()`` a sub-formula ``levels`` deeper, within MAX_DEPTH."""
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", at)
+        f = parse()
+        self.depth -= levels
+        return f
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -674,45 +691,45 @@ class _Parser:
     def chop(self) -> Formula:
         left = self.conj()
         if self.peek()[0] == ";":
-            self.next()
-            return HChop(left, self.chop())
+            at = self.next()[2]
+            return HChop(left, self.nested(self.chop, at))
         return left
 
     def conj(self) -> Formula:
         left = self.unary()
         if self.peek()[0] == "&":
-            self.next()
-            return And(left, self.conj())
+            at = self.next()[2]
+            return And(left, self.nested(self.conj, at))
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok[0] == "!":
             self.next()
-            return Not(self.unary())
+            return Not(self.nested(self.unary, tok[2]))
         if tok[0] == "ident" and tok[1] == "E" and self.peek(1)[0] == "ident" \
                 and self.peek(2)[0] == ".":
             self.next()
             var = self.next()[1]
             self.next()  # '.'
-            return Exists(var, self.unary())
+            return Exists(var, self.nested(self.unary, tok[2]))
         return self.primary()
 
     def primary(self) -> Formula:
         tok = self.next()
         kind, text, at = tok
         if kind == "(":
-            f = self.formula()
+            f = self.nested(self.formula, at)
             self.expect(")")
             return f
         if kind == "<":
-            f = self.formula()
+            f = self.nested(self.formula, at, 4)
             self.expect(">")
             return somewhere(f)
         if kind == "[":
-            upper = self.formula()
+            upper = self.nested(self.formula, at)
             self.expect("/")
-            lower = self.formula()
+            lower = self.nested(self.formula, at)
             self.expect("]")
             return VChop(upper, lower)
         if kind == "@":

@@ -322,7 +322,11 @@ def load_scenario(spec: str) -> Scenario:
     """Load a scenario from a file path or by bundled name."""
     path = Path(spec)
     if path.exists():
-        return parse_scenario(path.read_text(), name=path.stem)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{spec}: not UTF-8 text (byte {exc.start})") from None
+        return parse_scenario(text, name=path.stem)
     bundle = resources.files("crossings").joinpath("scenarios", spec + ".scn")
     if bundle.is_file():
         return parse_scenario(bundle.read_text(), name=spec)

@@ -60,6 +60,19 @@ class TestCheck:
         code = main(["check", "left-turn", "--formula", "re(", "--car", "E"])
         assert code == 2
 
+    @pytest.mark.parametrize("formula", ["(" * 200 + "true" + ")" * 200,
+                                         "!" * 5000 + "true"],
+                             ids=["200-parentheses", "5000-negations"])
+    def test_deeply_nested_formula_exits_2(self, capsys, formula):
+        code = main(["check", "left-turn", "--formula", formula, "--car", "E"])
+        assert code == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
+    def test_fifty_deep_formula_evaluates(self, capsys):
+        formula = "(" * 26 + "!" * 24 + "true" + ")" * 26  # 50 levels around true
+        assert main(["check", "left-turn", "--formula", formula, "--car", "E"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
 
 class TestValidate:
     def test_bundled_scenarios_validate(self):
@@ -75,6 +88,13 @@ class TestValidate:
 
     def test_missing_file(self):
         assert main(["validate", "/nowhere/else.scn"]) == 2
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"\xff\xfe")
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            assert f"{path}: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new, line, message", [
         ("[params]\n", "[params]\nh_b = 0\n", 38, "h_b must be positive, got '0'"),
@@ -231,6 +251,11 @@ class TestRun:
         assert lines
         assert all(line.split()[1] == "Snapshot" for line in lines)
         assert all(line.startswith("0.000 ") for line in lines)
+
+    @pytest.mark.parametrize("ticks", ["-5", "1000001"])
+    def test_ticks_out_of_range_is_a_usage_error(self, capsys, ticks):
+        assert main(["run", "lone-left-turn", "--ticks", ticks]) == 2
+        assert "--ticks" in capsys.readouterr().err
 
     def test_generated_sweep_scenario_is_reachable(self):
         assert main(["run", "sweep", "--seed", "3", "--ticks", "40"]) == 0

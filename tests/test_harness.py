@@ -251,6 +251,36 @@ class TestRunIsolation:
         assert topo() is None
 
 
+class TestPayloadSharing:
+    """Within one run, a trace line that repeats what an earlier one said
+    points at the earlier line's objects; the bytes are the golden tests'."""
+
+    SNAPSHOT_KEYS = ["car", "node", "pos", "speed", "res", "clm", "cres", "cclm"]
+
+    def test_repeated_lines_share_their_pairs_and_payloads(self):
+        _, events = run(load_scenario("left-turn"))
+        last: dict = {}  # car -> its previous Snapshot payload
+        shared = 0
+        verdicts: dict = {}  # car -> ids of its safe=true payloads
+        for ev in events:
+            d = dict(ev.payload)
+            if ev.kind == "Snapshot":
+                assert list(d) == self.SNAPSHOT_KEYS
+                assert all(isinstance(v, str) for v in d.values())
+                prev = last.get(d["car"])
+                if prev is not None and [p for p in prev if p[0] != "pos"] == \
+                        [p for p in ev.payload if p[0] != "pos"]:
+                    assert all(a is b for a, b in zip(prev, ev.payload) if a[0] != "pos")
+                    shared += 1
+                last[d["car"]] = ev.payload
+            elif ev.kind == "SafetyVerdict" and d["safe"] == "true":
+                assert d == {"car": d["car"], "safe": "true"}
+                verdicts.setdefault(d["car"], set()).add(id(ev.payload))
+        assert shared > 1000
+        assert sorted(verdicts) == list("ABCDEFG")
+        assert all(len(ids) == 1 for ids in verdicts.values())
+
+
 class TestTraceWellformedness:
     def test_time_is_monotone_and_snapshots_sane(self):
         scenario = load_scenario("helper-yes")
