@@ -15,6 +15,7 @@ where the guards are true, and the narrowed checks against all-car scans.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .logic import (
@@ -27,11 +28,13 @@ from .logic import (
     Exists,
     Formula,
     Free,
+    HChop,
     LenCmp,
     Not,
     Re,
     SetDisjoint,
     TRUE,
+    VChop,
     _intersects_open,
     ands,
     chops,
@@ -88,8 +91,6 @@ def ocac_formula(c: str, params: ProtocolParams, actor: str = "ego") -> Formula:
     """c approaches the crossing from the opposite side within d_c + max_se."""
     gap = ands(Not(somewhere(Cs())), Free(), LenCmp("<", params.d_c_prime))
     upper = chops(Cs(), gap, Re(c))
-    from .logic import HChop, VChop
-
     return HChop(
         somewhere(VChop(ol_formula(), Re(actor))),
         And(somewhere(VChop(upper, ol_formula())), Dir(c)),
@@ -98,8 +99,6 @@ def ocac_formula(c: str, params: ProtocolParams, actor: str = "ego") -> Formula:
 
 def lc_formula(c: str) -> Formula:
     """c is mid lane change: its reservation covers both lanes at one stretch."""
-    from .logic import VChop
-
     return somewhere(VChop(Re(c), Re(c)))
 
 
@@ -343,76 +342,80 @@ def geom_ph(ts: TrafficSnapshot, view: View, ego: str, c: str,
 
 # ---------------------------------------------------------------------------
 # guard checks over a multi-view, used by the controllers and the monitor
-#
-# Guards re-evaluate many times against one snapshot during a micro-step, so
-# each verdict is kept in the snapshot's store.
+
+_MISS = object()  # a stored None is a verdict, not a miss
 
 
-def _verdict(ts, mv, key, compute):  # key starts with id(mv)
-    hit = ts.cache.get(key)
-    if hit is not None:
-        return hit[1]
-    value = compute()
-    ts.cache[key] = (mv, value)  # the multi-view pins the id in the key
-    return value
+def _per_snapshot(check):
+    """Keep a guard check's verdicts in the snapshot's store.
+
+    Guards re-evaluate many times against one snapshot during a micro-step.
+    A verdict reads every car, so it is kept per snapshot and keyed on the
+    check, the multi-view (one object per car and snapshot) and the rest of
+    the call's arguments.
+    """
+
+    @functools.wraps(check)
+    def kept(ts, mv, *args, **kwargs):
+        # most guard calls pass no keywords; skip building their values
+        key = (check, mv, *args, *kwargs.values()) if kwargs else (check, mv, *args)
+        hit = ts.cache.get(key, _MISS)
+        if hit is _MISS:
+            hit = ts.cache[key] = check(ts, mv, *args, **kwargs)
+        return hit
+
+    return kept
 
 
+@_per_snapshot
 def pc_cars(ts: TrafficSnapshot, mv: MultiView, ego: str) -> set:
     """Cars in potential collision with the ego claim, in any view.
 
     Only the cars whose reservations or claims share a node with the ego
     claim are projected (the broad phase in `views`).
     """
-
-    def compute():
-        claimed = node_occupancy(ts, ego, mv.owner)[1]
-        near = cars_meeting(ts, claimed, mv.owner, claims=True)
-        out = set()
-        for view in mv.views:
-            for c in near:
-                if c != ego and c not in out and geom_pc(ts, view, ego, c):
-                    out.add(c)
-        return out
-
-    return _verdict(ts, mv, (id(mv), "pc", ego), compute)
+    claimed = node_occupancy(ts, ego, mv.owner)[1]
+    near = cars_meeting(ts, claimed, mv.owner, claims=True)
+    out = set()
+    for view in mv.views:
+        for c in near:
+            if c != ego and c not in out and geom_pc(ts, view, ego, c):
+                out.add(c)
+    return out
 
 
+@_per_snapshot
 def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
             params: ProtocolParams) -> set:
     """Potential helpers for the ego manoeuvre, in any view."""
-
-    def compute():
-        out = set()
-        for view in mv.views:
-            for c in sorted(ts.cars):
-                if c != ego and c not in out and geom_ph(ts, view, ego, c, params):
-                    out.add(c)
-        return out
-
-    return _verdict(ts, mv, (id(mv), "ph", ego), compute)
+    out = set()
+    for view in mv.views:
+        for c in sorted(ts.cars):
+            if c != ego and c not in out and geom_ph(ts, view, ego, c, params):
+                out.add(c)
+    return out
 
 
+@_per_snapshot
 def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
              params: ProtocolParams) -> bool:
     """Crossing-ahead, judged on the view aligned with the ego path."""
-    if not mv.views:
-        return False
-    return _verdict(ts, mv, (id(mv), "ca", ego),
-                    lambda: geom_ca(ts, mv.views[0], ego, params.d_c))
+    return bool(mv.views) and geom_ca(ts, mv.views[0], ego, params.d_c)
 
 
+@_per_snapshot
 def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
     """Reservation on a crossing, read from the car's own fragments only."""
-    return _verdict(ts, mv, (id(mv), "oc", car),
-                    lambda: any(geom_oc(ts, v, car) for v in mv.views))
+    return any(geom_oc(ts, v, car) for v in mv.views)
 
 
+@_per_snapshot
 def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
     """Mid lane change, read from the car's own fragments only."""
-    return _verdict(ts, mv, (id(mv), "lc", car),
-                    lambda: any(geom_lc(ts, v, car) for v in mv.views))
+    return any(geom_lc(ts, v, car) for v in mv.views)
 
 
+@_per_snapshot
 def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
                 ground_truth: bool = False) -> Optional[tuple]:
     """First (car, view index) whose reservation overlaps the ego's.
@@ -422,24 +425,20 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
     only the rivals, the cars whose reservations meet the ego's on a node
     (the broad phase in `views`), are projected at all.
     """
-
-    def compute():
-        reserved = node_occupancy(ts, ego, mv.owner, ground_truth)[0]
-        rivals = [c for c in cars_meeting(ts, reserved, mv.owner, ground_truth)
-                  if c != ego]
-        if not rivals:
-            return None
-        for idx, view in enumerate(mv.views):
-            mine = car_fragment(ts, ego, view, ground_truth).merged
-            for lane_idx in (0, 1):
-                ego_runs = mine.get((lane_idx, Kind.RESERVED))
-                if not ego_runs:
-                    continue
-                for c in rivals:
-                    runs = car_fragment(ts, c, view, ground_truth).merged.get(
-                        (lane_idx, Kind.RESERVED))
-                    if runs and _overlap_pos(ego_runs, runs):
-                        return (c, idx)
+    reserved = node_occupancy(ts, ego, mv.owner, ground_truth)[0]
+    rivals = [c for c in cars_meeting(ts, reserved, mv.owner, ground_truth)
+              if c != ego]
+    if not rivals:
         return None
-
-    return _verdict(ts, mv, (id(mv), "col", ego, ground_truth), compute)
+    for idx, view in enumerate(mv.views):
+        mine = car_fragment(ts, ego, view, ground_truth).merged
+        for lane_idx in (0, 1):
+            ego_runs = mine.get((lane_idx, Kind.RESERVED))
+            if not ego_runs:
+                continue
+            for c in rivals:
+                runs = car_fragment(ts, c, view, ground_truth).merged.get(
+                    (lane_idx, Kind.RESERVED))
+                if runs and _overlap_pos(ego_runs, runs):
+                    return (c, idx)
+    return None

@@ -607,9 +607,6 @@ def invert(f: Formula) -> Formula:
 #            | '<' formula '>' | '[' formula '/' formula ']' | '@' NAME args
 
 
-_KEYWORDS = {"true", "free", "cs", "re", "cl", "dir", "l", "E"}
-
-
 def _tokenize(text: str):
     tokens = []
     i = 0

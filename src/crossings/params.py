@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 
 @dataclass(frozen=True)
@@ -13,6 +13,14 @@ class ProtocolParams:
     t_w: float = 0.5      # window the enquirer waits for helper answers, s
     t: float = 0.3        # bound for a helper's reply, s (t < t_w)
     t_cr: float = 10.0    # maximum duration of a crossing manoeuvre, s
+
+    def __post_init__(self):
+        # guard verdicts are keyed on the params, so every guard check hashes
+        # them: hash the fields once
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def d_c_prime(self) -> float:

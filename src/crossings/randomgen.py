@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .network import NodeId, Topology
-from .params import ProtocolParams
 from .scenario import Scenario, parse_scenario
-from .snapshot import CarState, braking_distance
 
 ENTRY_LANES = (7, 1, 3, 5)
 
@@ -58,10 +55,6 @@ edge c2 c3
 edge c3 c0
 intersection cr = c0 c1 c2 c3
 """
-
-
-def demo_topology() -> Topology:
-    return parse_scenario(NETWORK_TEXT, name="demo").topo
 
 
 def sweep_scenario_text(seed: int) -> str:
@@ -126,32 +119,12 @@ def negative_scenario(seed: int) -> Scenario:
     entry_a, route_a, cres_a, entry_b, route_b, cres_b = _CONFLICTS[
         rng.randrange(len(_CONFLICTS))
     ]
-    topo = demo_topology()
     speed = round(rng.uniform(6.0, 14.0), 2)
     pos = round(rng.uniform(120.0, 138.0), 2)
-    cars = {}
-    for cid, entry, route, cres_names in (
-        ("A", entry_a, ROUTES[entry_a][route_a], cres_a),
-        ("B", entry_b, ROUTES[entry_b][route_b], cres_b),
-    ):
-        path = tuple(NodeId.parse(p) for p in route.split(","))
-        cars[cid] = CarState(
-            path=path,
-            curr=0,
-            pos=pos,
-            speed=speed,
-            size=4.5,
-            braking=braking_distance(speed),
-            res=frozenset({path[0]}),
-            cres=frozenset(NodeId.parse(n) for n in cres_names),
-        )
-    return Scenario(
-        name=f"negative-{seed}",
-        topo=topo,
-        cars=cars,
-        equipped={"A": (), "B": ()},
-        monitored=["A", "B"],
-        params=ProtocolParams(t_cr=45.0),
-        dt=0.1,
-        max_time=8.0,
-    )
+    lines = [NETWORK_TEXT, "[cars]"]
+    for cid, entry, route, cres in (("A", entry_a, route_a, cres_a),
+                                    ("B", entry_b, route_b, cres_b)):
+        lines.append(f"car {cid} path={ROUTES[entry][route]} pos={pos} speed={speed} "
+                     f"size=4.5 cres={','.join(cres)} controllers=none")
+    lines += ["[params]", "t_cr = 45", "dt = 0.1", "max_time = 8"]
+    return parse_scenario("\n".join(lines) + "\n", name=f"negative-{seed}")

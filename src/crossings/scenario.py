@@ -18,8 +18,10 @@ speed^2 / (2 b_max)), node (path element the rear is on), heading (true or
 false, default true), res, clm, cres, cclm, controllers (road,crossing,helper
 or none), monitor (true or false, default true: whether the safety monitor
 judges the car).  Unknown or repeated parameters and car fields are errors,
-and so is a ``pair`` or ``intersection`` name that repeats, that does not fit
-exactly one component, or that another component has as its id.
+and so are a ``lane`` or ``cs`` line that declares a node again, a ``pair``
+or ``intersection`` name that repeats, that does not fit exactly one
+component, or that another component has as its id, and a car whose rear is
+on a crossing segment with no lane before it on its path.
 """
 
 from __future__ import annotations
@@ -125,6 +127,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     segment_names = {}
     intersection_names = {}
     name_lines = {}  # component name -> the line that gives it
+    node_lines = {}  # node -> the line that declares it
     car_lines = []
     raw_params = {}
     section = None
@@ -151,6 +154,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                 if node.is_crossing != (parts[0] == "cs"):
                     kind = "crossing segment" if parts[0] == "cs" else "lane"
                     _err(line_no, f"{parts[1]} is not a {kind} id")
+                if node in node_lines:
+                    _err(line_no, f"repeated node {node} (first on line {node_lines[node]})")
+                node_lines[node] = line_no
                 weights[node] = _parse_float(line_no, parts[2], "weight")
             elif parts[0] == "edge" and len(parts) == 3:
                 directed.append((_node(line_no, parts[1]), _node(line_no, parts[2])))
@@ -246,6 +252,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if node not in path:
                 _err(line_no, f"car {cid}: node {node} not on its path")
             curr = path.index(node)
+        if path[curr].is_crossing and not any(n.is_lane for n in path[:curr]):
+            _err(line_no, f"car {cid}: rear on crossing segment {path[curr]} "
+                          f"with no lane before it on its path")
         speed = _parse_float(line_no, fields.get("speed", "0"), "speed", "non-negative")
         braking = (
             _parse_float(line_no, fields["braking"], "braking", "non-negative")
@@ -329,5 +338,5 @@ def load_scenario(spec: str) -> Scenario:
         return parse_scenario(text, name=path.stem)
     bundle = resources.files("crossings").joinpath("scenarios", spec + ".scn")
     if bundle.is_file():
-        return parse_scenario(bundle.read_text(), name=spec)
+        return parse_scenario(bundle.read_text(encoding="utf-8"), name=spec)
     raise ScenarioError(f"no such scenario file or bundled name: {spec!r}")

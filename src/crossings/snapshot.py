@@ -55,12 +55,8 @@ class TrafficSnapshot:
     ``car_cache`` holds, per car id (made on first lookup), what is derived
     from that car alone (its multi-view, occupancy and view fragments), which
     depends only on its own state and the network; ``with_car`` hands it on
-    for every car it leaves untouched, and the replaced car's multi-view too
-    while its path, node and position stay (no controller action changes them).
-    ``cache`` holds what reads every car (guard verdicts per multi-view)
-    and starts empty in every new snapshot.
-    Entries keyed on an object's ``id()`` hold that object, so the id stays
-    unique while the entry lives.
+    for every car it leaves untouched.  ``cache`` holds what reads every car
+    (guard verdicts per multi-view) and starts empty in every new snapshot.
     """
 
     cars: dict  # car id -> CarState; treat as read-only
@@ -77,12 +73,6 @@ class TrafficSnapshot:
         cars[cid] = state
         out = TrafficSnapshot(cars, self.net)
         out.car_cache.update((c, m) for c, m in self.car_cache.items() if c != cid)
-        old = self.cars.get(cid)
-        if old is not None and cid in self.car_cache and \
-                (old.path, old.curr, old.pos) == (state.path, state.curr, state.pos):
-            # the multi-view reads only these three fields (views.build_multiview)
-            out.car_cache[cid] = {k: v for k, v in self.car_cache[cid].items()
-                                  if k[0] == "mv"}
         return out
 
 

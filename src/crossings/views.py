@@ -38,8 +38,12 @@ class Span:
     reversed: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualLane:
+    """One straightened lane of a view.  Lanes are built once per path
+    position and kept on the topology, so they compare by identity, and
+    derived state keyed on a lane holds it for as long as the entry lives."""
+
     nodes: tuple[NodeId, ...]
     spans: tuple[Span, ...]
 
@@ -71,8 +75,10 @@ class View:
         return (lo, hi) if hi > lo else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiView:
+    """One car's views; built once per car and snapshot, compared by identity."""
+
     owner: str
     views: tuple[View, ...]
 
@@ -143,7 +149,6 @@ def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
     if e not in ts.cars:
         raise KeyError(f"unknown car {e}")
     s = ts.cars[e]
-    net = topo.net
 
     def anchor_before(idx):
         for j in range(idx - 1, -1, -1):
@@ -259,7 +264,7 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     if not (h_b > 0 and h_f > 0):
         raise ValueError("horizons must be positive")
     memo = ts.car_cache[e]
-    key = ("mv", topo, h_b, h_f)
+    key = (topo, h_b, h_f)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -273,10 +278,18 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     return mv
 
 
-def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
-    """((node, lo, hi) reserved, claimed nodes) in node-local coordinates,
-    kept in the snapshot's per-car store; ground truth claims nothing."""
-    mode = "gt" if ground_truth else ("own" if own_view else "seen")
+def _mode(cid: str, owner: str, ground_truth: bool) -> str:
+    """How a car is projected onto a view owned by ``owner``: "gt" for the
+    monitor's ground truth, "own" for the owner itself, "seen" for others."""
+    return "gt" if ground_truth else ("own" if cid == owner else "seen")
+
+
+def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
+                   ground_truth: bool = False):
+    """(reserved, claimed) node-local entries (node, lo, hi) of one car, as
+    car_fragment projects them onto a view owned by ``owner``, kept in the
+    snapshot's per-car store; ground truth claims nothing."""
+    mode = _mode(cid, owner, ground_truth)
     memo = ts.car_cache[cid]
     hit = memo.get(mode)
     if hit is not None:
@@ -284,8 +297,8 @@ def _node_occupancy(ts, cid, own_view: bool, ground_truth: bool):
     s = ts.cars[cid]
     net = ts.net
     try:  # the owner and the monitor see the safety envelope, others the car
-        entries = safety_envelope(ts, cid) if ground_truth or own_view \
-            else physical_extent(ts, "", cid)
+        entries = physical_extent(ts, "", cid) if mode == "seen" \
+            else safety_envelope(ts, cid)
     except PathExhausted:
         entries = []
     reserved = []
@@ -361,14 +374,13 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     contributes its full envelope and nothing else: the monitor judges
     worst-case physical space, not bookkeeping.
     """
-    own = not ground_truth and cid == view.owner
     memo = ts.car_cache[cid]
     lanes = view.lanes
-    key = (id(lanes[0]), id(lanes[1]), view.extent, own, ground_truth)
+    key = (lanes, view.extent, _mode(cid, view.owner, ground_truth))
     hit = memo.get(key)
     if hit is not None:
-        return hit[1]
-    reserved_nodes, claimed_nodes = _node_occupancy(ts, cid, own, ground_truth)
+        return hit
+    reserved_nodes, claimed_nodes = node_occupancy(ts, cid, view.owner, ground_truth)
     a, b = view.extent
     placements = ((0, lanes[0].placements), (1, lanes[1].placements))
     out = []
@@ -386,8 +398,7 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
                     lo, hi = max(lo, a), min(hi, b)
                     if hi > lo:
                         out.append((lane_idx, lo, hi, kind, crossing))
-    fragment = CarFragment(out) if out else _EMPTY
-    memo[key] = (lanes, fragment)  # the lanes pin the ids in the key
+    fragment = memo[key] = CarFragment(out) if out else _EMPTY
     return fragment
 
 
@@ -400,14 +411,6 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
 # Entries on crossing nodes always cover the whole node, as car_fragment
 # projects them, so two cars on one crossing node always meet.
 NODE_TOL = 1e-6
-
-
-def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
-                   ground_truth: bool = False):
-    """(reserved, claimed) node-local entries (node, lo, hi) of one car, as
-    car_fragment projects them onto a view owned by ``owner``."""
-    return _node_occupancy(ts, cid, not ground_truth and cid == owner,
-                           ground_truth)
 
 
 def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
@@ -425,8 +428,7 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
         index.setdefault(node, []).append((lo, hi))
     out = []
     for cid in sorted(ts.cars):
-        reserved, claimed = _node_occupancy(ts, cid, not ground_truth and cid == owner,
-                                            ground_truth)
+        reserved, claimed = node_occupancy(ts, cid, owner, ground_truth)
         for node, lo, hi in (reserved + claimed if claims and claimed else reserved):
             near = index.get(node)
             if near and any(lo < b + NODE_TOL and a < hi + NODE_TOL for a, b in near):

@@ -3,8 +3,14 @@ import random
 import pytest
 
 from crossings.network import Topology, UrbanRoadNetwork, cs, lane
-from crossings.randomgen import demo_topology
+from crossings.randomgen import NETWORK_TEXT
+from crossings.scenario import parse_scenario
 from crossings.snapshot import CarState, TrafficSnapshot, braking_distance
+
+
+def demo_topology() -> Topology:
+    """The four-approach intersection the random sweeps run on."""
+    return parse_scenario(NETWORK_TEXT, name="demo").topo
 
 
 @pytest.fixture(scope="session")

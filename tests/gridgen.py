@@ -30,9 +30,11 @@ from crossings.logic import (
     somewhere,
 )
 from crossings.network import NodeId
-from crossings.randomgen import ROUTES, demo_topology
+from crossings.randomgen import ROUTES
 from crossings.snapshot import CarState, TrafficSnapshot
 from crossings.views import build_multiview, car_fragment
+
+from conftest import demo_topology
 
 H_B = 10.0
 H_F = 39.95

@@ -234,6 +234,22 @@ class TestMalformedScenario:
         assert code == 2
         assert "speed must be finite" in err
 
+    def test_repeated_node(self, tmp_path, capsys):
+        code, err = self.run_edited(tmp_path, capsys, "lane 7 150", "lane 7 150\nlane 7 90")
+        assert code == 2
+        assert "repeated node 7 (first on line 11)" in err and "line 12" in err
+
+    @pytest.mark.parametrize("command", [["validate"], ["run"],
+                                         ["check", "--formula", "true", "--car", "E"]],
+                             ids=["validate", "run", "check"])
+    def test_rear_on_a_crossing_with_no_lane_before_it(self, tmp_path, capsys, command):
+        path = edited_copy(tmp_path, "left-turn", "car A path=5,c3,6", "car A path=c3,6")
+        code = main([command[0], str(path), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "car A: rear on crossing segment c3 with no lane before it" in err
+        assert "line 37" in err
+
 
 class TestRun:
     def test_safe_run_exits_zero(self, tmp_path, capsys):

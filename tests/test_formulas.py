@@ -44,6 +44,7 @@ from crossings.logic import (
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
 from crossings.randomgen import negative_scenario, sweep_scenario
+from crossings.scenario import load_scenario
 from crossings.snapshot import TrafficSnapshot
 from crossings.views import Kind, MultiView, build_multiview, car_fragment
 
@@ -570,3 +571,17 @@ class TestPhinv:
                                          scenario.h_f, scenario.params, seen)
                 sim.step()
         assert seen["true"] and seen["lc"], seen
+
+
+class TestVerdictStore:
+    def test_each_params_gets_its_own_verdict(self):
+        # on one snapshot and multi-view, a verdict for one ProtocolParams
+        # must not answer a call with another
+        scenario = load_scenario("left-turn")
+        near, far = ProtocolParams(d_c=1.0, max_se=1.0), ProtocolParams(d_c=200.0)
+        ts = scenario.snapshot()
+        mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
+        for params, ahead, helpers in ((far, True, {"A", "C", "D"}),
+                                       (near, False, {"A"}), (far, True, {"A", "C", "D"})):
+            assert check_ca(ts, mv, "E", params) is ahead
+            assert ph_cars(ts, mv, "E", params) == helpers

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings.network import NodeId
-from crossings.randomgen import ROUTES, demo_topology
+from crossings.randomgen import ROUTES
 from crossings.snapshot import (
     Action,
     ActionKind,
@@ -24,6 +24,8 @@ from crossings.snapshot import (
     evolve,
     sanity_check,
 )
+
+from conftest import demo_topology
 
 NET = demo_topology().net
 ROUTE_PATHS = sorted(tuple(NodeId.parse(p) for p in route.split(","))
