@@ -5,12 +5,13 @@ controllers use (reachable from concrete syntax as ``@ca``, ``@pc(c)``, ...).
 Beside them live the direct checks, the one definition of each predicate the
 controllers and the safety monitor decide on every tick (``check_phinv``
 included): the ``geom_*`` functions and the multi-view checks built on them
-compute the predicates straight from the projected occupancy intervals, and
-project only the cars that can change the verdict: those whose node-local
-occupancy meets the ego's, or the stretch in question, on a shared network
-node (the broad phase in ``views``); none reads every car.  ``test_formulas``
-pins both routes against each other on randomized snapshots and on scenes
-where the guards are true, and the narrowed checks against all-car scans.
+decide the predicates on projected occupancy runs by the run rules in
+``views``, and project only the cars that can change the verdict: those
+whose node-local occupancy meets the ego's, or the stretch in question, on a
+shared network node (the broad phase in ``views``); none reads every car.
+``test_formulas`` pins both routes against each other on randomized
+snapshots and on scenes where the guards are true, and the narrowed checks
+against all-car scans.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import functools
 from typing import Optional
 
 from .logic import (
-    EPS,
     And,
     Cl,
     Cs,
@@ -35,7 +35,6 @@ from .logic import (
     SetDisjoint,
     TRUE,
     VChop,
-    _intersects_open,
     ands,
     chops,
     ors,
@@ -44,14 +43,19 @@ from .logic import (
 from .params import ProtocolParams
 from .snapshot import TrafficSnapshot
 from .views import (
-    NODE_TOL,
+    EPS,
     Kind,
     MultiView,
     View,
     car_fragment,
+    car_runs,
     cars_meeting,
-    merge_runs,
+    gaps,
+    intersects_open,
+    near_fragments,
     node_occupancy,
+    occupied,
+    overlap_pos,
 )
 
 
@@ -172,40 +176,16 @@ def builtin(name: str, args: list, params: Optional[ProtocolParams]) -> Formula:
 # direct interval checks
 
 
-def _overlap_pos(a, b) -> bool:
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi - lo > EPS:
-            return True
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return False
-
-
-_RES0, _RES1 = (0, Kind.RESERVED), (1, Kind.RESERVED)
-
-
-def _frag_res(ts: TrafficSnapshot, view: View, car: str):
-    """Reserved runs per lane of one car, from its fragment alone."""
-    merged = car_fragment(ts, car, view).merged
-    return merged.get(_RES0, []), merged.get(_RES1, [])
-
-
 def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
-    res = _frag_res(ts, view, car)
     for lane in (0, 1):
         span = view.crossing_span(lane)
-        if span and _overlap_pos(res[lane], [span]):
+        if span and overlap_pos(car_runs(ts, view, car, lane), [span]):
             return True
     return False
 
 
 def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
-    return _overlap_pos(*_frag_res(ts, view, car))
+    return overlap_pos(car_runs(ts, view, car, 0), car_runs(ts, view, car, 1))
 
 
 def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
@@ -217,61 +197,25 @@ def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
         claim = mine.get((lane, Kind.CLAIMED))
         if not claim:
             continue
-        if _overlap_pos(claim, theirs.get((lane, Kind.RESERVED), [])) or \
-                _overlap_pos(claim, theirs.get((lane, Kind.CLAIMED), [])):
+        if overlap_pos(claim, theirs.get((lane, Kind.RESERVED), [])) or \
+                overlap_pos(claim, theirs.get((lane, Kind.CLAIMED), [])):
             return True
     return False
 
 
-def _near_fragments(ts: TrafficSnapshot, view: View, stretches) -> list:
-    """The merged runs ((lane, kind) -> runs) of each car on the nodes whose
-    spans meet one of the (lane, lo, hi) stretches: of every car whose runs
-    can reach into one of them (the broad phase in `views`)."""
-    near = [(s.node, 0.0, ts.net.weights[s.node])
-            for lane, lo, hi in stretches for s in view.lanes[lane].spans
-            if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
-    return [car_fragment(ts, c, view).merged
-            for c in cars_meeting(ts, near, view.owner, claims=True)]
-
-
-def _occupied(fragments, lane: int) -> list:
-    """The lane's occupancy by the fragments' cars, of every kind, merged."""
-    runs = []
-    for merged in fragments:
-        runs.extend(merged.get((lane, Kind.RESERVED), ()))
-        runs.extend(merged.get((lane, Kind.CLAIMED), ()))
-    return merge_runs(runs)
-
-
 def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
-    res = _frag_res(ts, view, ego)
     for lane in (0, 1):
         span = view.crossing_span(lane)
         if span is None:
             continue
         start = span[0]
-        for lo, hi in res[lane]:
+        for lo, hi in car_runs(ts, view, ego, lane):
             if hi >= start - EPS or start - hi >= d_c - EPS:
                 continue
-            near = _near_fragments(ts, view, [(lane, hi, start)])
-            if not _intersects_open(_occupied(near, lane), hi, start):
+            near = near_fragments(ts, view, [(lane, hi, start)])
+            if not intersects_open(occupied(near, lane), hi, start):
                 return True
     return False
-
-
-def _gaps(intervals, lo_bound, hi_bound):
-    """Maximal free stretches of [lo_bound, hi_bound] between the intervals."""
-    out = []
-    cursor = lo_bound
-    for lo, hi in intervals:
-        if lo > cursor:
-            out.append((cursor, min(lo, hi_bound)))
-        cursor = max(cursor, hi)
-        if cursor >= hi_bound:
-            break
-    if cursor < hi_bound:
-        out.append((cursor, hi_bound))
-    return [(lo, hi) for lo, hi in out if hi - lo > EPS]
 
 
 def _one_lane_slice_ok(fragments, lane: int, p_lo, p_hi, q_lo, q_hi,
@@ -283,9 +227,8 @@ def _one_lane_slice_ok(fragments, lane: int, p_lo, p_hi, q_lo, q_hi,
     only the cars near it."""
     if p_lo >= p_hi - EPS or q_lo >= q_hi - EPS:
         return False
-    for g_lo, g_hi in _gaps(_occupied(fragments, lane), window_lo, window_hi):
-        if min(g_hi, window_hi) - max(g_lo, window_lo) > EPS:
-            return True
+    if gaps(occupied(fragments, lane), window_lo, window_hi):
+        return True
     for merged in fragments:
         for kind in (Kind.RESERVED, Kind.CLAIMED):
             for k_lo, k_hi in merged.get((lane, kind), ()):
@@ -309,12 +252,11 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     theirs = car_fragment(ts, c, view)
     if span is None or not theirs.intervals:
         return False
-    ego_intervals = _frag_res(ts, view, ego)[0]
+    ego_intervals = car_runs(ts, view, ego, 0)
     if not ego_intervals:
         return False
     s1, t1 = span
-    min_lo = min(lo for lo, _ in ego_intervals)
-    p_lo = max(s1, min_lo)  # the cs part starts after some ego reservation
+    p_lo = max(s1, ego_intervals[0][0])  # the cs part starts after some ego reservation
     if p_lo >= t1 - EPS:
         return False
     a, b = view.extent
@@ -323,8 +265,8 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
             continue
         # one broad phase for the gap on lane 1 and the window on lane 0
         window = (max(p_lo, a), min(j2, b))
-        near = _near_fragments(ts, view, [(1, t1, j1), (0, *window)])
-        if _intersects_open(_occupied(near, 1), t1, j1):
+        near = near_fragments(ts, view, [(1, t1, j1), (0, *window)])
+        if intersects_open(occupied(near, 1), t1, j1):
             continue
         if _one_lane_slice_ok(near, 0, p_lo, t1, j1, j2, *window):
             return True
@@ -439,6 +381,6 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
             for c in rivals:
                 runs = car_fragment(ts, c, view, ground_truth).merged.get(
                     (lane_idx, Kind.RESERVED))
-                if runs and _overlap_pos(ego_runs, runs):
+                if runs and overlap_pos(ego_runs, runs):
                     return (c, idx)
     return None

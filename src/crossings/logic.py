@@ -43,11 +43,10 @@ that need them; each step is exact because [a, b] lies in D:
 - X = [true / [g / true]], the lane split of ``somewhere``, is the union of
   g's sets on the lane sets (), (0,), (1,) and (0, 1), since true is D on
   every lane set and D & Y = Y: it is non-empty when one of them is.
-Other roots fall back to the full set.  Cars are projected per car on
-demand: re, cl and dir read one car's fragment, and only free and the
-stand-in rule of E x. read every car.  One walk over the formula per
-verdict checks its variables and finds the free variables of each E x.,
-shared by every view of a multi-view.
+Other roots fall back to the full set.  Runs, projected per car on demand
+(``EvalContext``), and the rules on them come from ``views``.  One walk
+over the formula per verdict checks its variables and finds the free
+variables of each E x., shared by every view of a multi-view.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 from .snapshot import TrafficSnapshot
-from .views import EPS, Kind, MultiView, View, car_fragment, merge_runs
+from .views import EPS, Kind, MultiView, View, car_fragment, car_runs, gaps, occupied
 
 
 class LogicError(ValueError):
@@ -206,7 +205,6 @@ class EvalContext:
     def __init__(self, ts: TrafficSnapshot, view: View):
         self.ts = ts
         self.view = view
-        self.extent = view.extent
         self.car_ids = sorted(ts.cars)
         self.crossing_span = {i: view.crossing_span(i) for i in (0, 1)}
 
@@ -214,7 +212,7 @@ class EvalContext:
         """One car's merged runs of one kind on one lane of the view."""
         if car not in self.ts.cars:
             return []
-        return car_fragment(self.ts, car, self.view).merged.get((lane, kind), [])
+        return car_runs(self.ts, self.view, car, lane, kind)
 
     def dir(self, car) -> bool:
         """Is the car on the view and heading along its lane?"""
@@ -231,20 +229,8 @@ class EvalContext:
     @cached_property
     def any_occ(self) -> dict:
         """lane -> the merged runs of every car, reserved or claimed."""
-        raw: dict = {0: [], 1: []}
-        for cid in self.car_ids:
-            for (lane, _kind), runs in car_fragment(self.ts, cid, self.view).merged.items():
-                raw[lane].extend(runs)
-        return {lane: merge_runs(ivs) for lane, ivs in raw.items()}
-
-
-def _intersects_open(intervals, x1, x2) -> bool:
-    for lo, hi in intervals:
-        if lo >= x2 - EPS:
-            break
-        if hi > x1 + EPS:
-            return True
-    return False
+        fragments = [car_fragment(self.ts, cid, self.view).merged for cid in self.car_ids]
+        return {lane: occupied(fragments, lane) for lane in (0, 1)}
 
 
 # Zones.  A zone is a closed difference-bound matrix over (x0 = 0, x1, x2),
@@ -387,7 +373,7 @@ class _Zones:
     def __init__(self, ctx: EvalContext, scope: dict):
         self.ctx = ctx
         self.scope = scope  # id(E x. node) -> free variables of it
-        a, b = ctx.extent
+        a, b = ctx.view.extent
         # the domain a <= x1 <= x2 <= b
         domain = _close(_constraints((1, (-a, 0)), (2, (-a, 0)), (3, (b, 0)),
                                      (5, _LE0), (6, (b, 0))), 3)
@@ -396,7 +382,7 @@ class _Zones:
 
     def holds(self, zones) -> bool:
         """Is the whole view [a, b] in the truth set?"""
-        a, b = self.ctx.extent
+        a, b = self.ctx.view.extent
         v = (0.0, a, b)
         return any(all((v[k // 3] - v[k % 3], 0) <= bound for k, bound in enumerate(z))
                    for z in zones)
@@ -452,8 +438,7 @@ class _Zones:
         ctx = self.ctx
         kind = type(f)
         if kind is Free:
-            ends = [-_INF] + [p for run in ctx.any_occ[lane] for p in run] + [_INF]
-            return list(zip(ends[::2], ends[1::2]))
+            return gaps(ctx.any_occ[lane], -_INF, _INF)
         if kind is Cs:
             span = ctx.crossing_span[lane]
             return [span] if span else []
@@ -750,8 +735,6 @@ class _Parser:
                     d = float(num[1])
                 except ValueError:
                     raise ParseError(f"bad number {num[1]!r}", num[2]) from None
-                if d < 0:
-                    raise ParseError("length bound must be non-negative", num[2])
                 return LenCmp(op, d)
             if self.peek()[0] == "=":
                 self.next()
@@ -787,6 +770,14 @@ class _Parser:
 def parse(text: str, params=None) -> Formula:
     """Parse concrete syntax; ``params`` feed distance bounds of @builtins."""
     return _Parser(text, params).parse()
+
+
+def names_a_car(text: str) -> bool:
+    """Can formulas name a car ``text``: not ``ego``, and one identifier?"""
+    try:  # a word of the syntax does not read as this equation
+        return text != "ego" and _Parser(f"{text} = {text}").parse() == Eq(text, text)
+    except ParseError:
+        return False
 
 
 def _needs_parens(child: Formula, level: int) -> bool:

@@ -20,8 +20,9 @@ or none), monitor (true or false, default true: whether the safety monitor
 judges the car).  Unknown or repeated parameters and car fields are errors,
 and so are a ``lane`` or ``cs`` line that declares a node again, a ``pair``
 or ``intersection`` name that repeats, that does not fit exactly one
-component, or that another component has as its id, and a car whose rear is
-on a crossing segment with no lane before it on its path.
+component, or that another component has as its id, a car id that formulas
+cannot name (not one identifier, ``ego`` or a word of their syntax), and a
+car whose rear is on a crossing segment with no lane before it on its path.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from importlib import resources
 from pathlib import Path
 
 from .formulas import col_witness
+from .logic import names_a_car
 from .network import ComponentNameError, NodeId, Topology, UrbanRoadNetwork, check_path
 from .params import ProtocolParams
 from .snapshot import (
@@ -227,6 +229,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     for line_no, line in car_lines:
         tokens = line.split()
         cid = tokens[1]
+        if not names_a_car(cid):
+            _err(line_no, f"car id {cid!r} is not a name formulas can use")
         if cid in scenario.cars:
             _err(line_no, f"duplicate car {cid}")
         fields = {}

@@ -178,14 +178,8 @@ def safety_envelope(ts: TrafficSnapshot, cid: str):
     return _walk(ts, s, s.size + s.braking, gate_braking_at=s.size)
 
 
-def physical_extent(ts: TrafficSnapshot, observer: str, cid: str):
-    """Extent of ``cid`` as perceived by ``observer``.
-
-    Sensors see physical size only; a car knows its own braking distance,
-    so for ``observer == cid`` this is the full safety envelope.
-    """
-    if observer == cid:
-        return safety_envelope(ts, cid)
+def physical_extent(ts: TrafficSnapshot, cid: str):
+    """Extent of ``cid`` as other cars' sensors see it: its physical size only."""
     s = ts.cars[cid]
     return _walk(ts, s, s.size)
 

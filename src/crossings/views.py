@@ -4,7 +4,9 @@ A view flattens the bent geometry at an intersection into two parallel
 virtual lanes sharing one coordinate axis (ego-path coordinates: 0 is the
 start of the node the ego rear is on).  The multi-view bundles one such
 window per approach road of the upcoming intersection, so that cars hidden
-from one window appear in a sibling window.
+from one window appear in a sibling window.  Here alone live what each car
+perceives (``node_occupancy``), the broad phase and the rules on occupancy
+runs (from ``merge_runs`` on); ``formulas`` and ``logic`` decide predicates.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
     s = ts.cars[cid]
     net = ts.net
     try:  # the owner and the monitor see the safety envelope, others the car
-        entries = physical_extent(ts, "", cid) if mode == "seen" \
+        entries = physical_extent(ts, cid) if mode == "seen" \
             else safety_envelope(ts, cid)
     except PathExhausted:
         entries = []
@@ -358,6 +360,55 @@ def merge_runs(intervals):
     return out
 
 
+def overlap_pos(a, b) -> bool:
+    """Do two lists of merged runs overlap by more than EPS?"""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if hi - lo > EPS:
+            return True
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
+def intersects_open(runs, x1, x2) -> bool:
+    """Does a merged run reach more than EPS into the open stretch (x1, x2)?"""
+    for lo, hi in runs:
+        if lo >= x2 - EPS:
+            break
+        if hi > x1 + EPS:
+            return True
+    return False
+
+
+def gaps(runs, lo_bound, hi_bound) -> list:
+    """The free stretches longer than EPS of [lo_bound, hi_bound] between runs."""
+    out = []
+    cursor = lo_bound
+    for lo, hi in runs:
+        if lo > cursor:
+            out.append((cursor, min(lo, hi_bound)))
+        cursor = max(cursor, hi)
+        if cursor >= hi_bound:
+            break
+    if cursor < hi_bound:
+        out.append((cursor, hi_bound))
+    return [(lo, hi) for lo, hi in out if hi - lo > EPS]
+
+
+def occupied(fragments, lane: int) -> list:
+    """The lane's runs of every kind in the fragments' merged runs, merged."""
+    runs = []
+    for merged in fragments:
+        runs.extend(merged.get((lane, Kind.RESERVED), ()))
+        runs.extend(merged.get((lane, Kind.CLAIMED), ()))
+    return merge_runs(runs)
+
+
 def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
                  ground_truth: bool = False) -> CarFragment:
     """One car's projected occupancy on a view, clipped to X, kept in the
@@ -402,10 +453,16 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     return fragment
 
 
+def car_runs(ts: TrafficSnapshot, view: View, car: str, lane: int,
+             kind: Kind = Kind.RESERVED) -> list:
+    """One car's merged runs of one kind on one lane of the view."""
+    return car_fragment(ts, car, view).merged.get((lane, kind), [])
+
+
 # Broad phase.  _lay_forward and _lay_backward lay distinct nodes end to end
 # on a virtual lane, so two cars' runs on one lane can overlap by more than
 # EPS only where both cars occupy one node.  The checks in `formulas`
-# therefore project only the cars that pass the node-local test below.  Its
+# therefore project only the cars that pass the node-local tests below.  Its
 # tolerance is far above EPS, so that two runs joined across an EPS-wide gap
 # by merge_runs still count as meeting on a node.
 # Entries on crossing nodes always cover the whole node, as car_fragment
@@ -435,6 +492,17 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
                 out.append(cid)
                 break
     return out
+
+
+def near_fragments(ts: TrafficSnapshot, view: View, stretches) -> list:
+    """The merged runs ((lane, kind) -> runs) of each car on the nodes whose
+    spans meet one of the (lane, lo, hi) stretches: of every car whose runs
+    can reach into one of them."""
+    near = [(s.node, 0.0, ts.net.weights[s.node])
+            for lane, lo, hi in stretches for s in view.lanes[lane].spans
+            if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
+    return [car_fragment(ts, c, view).merged
+            for c in cars_meeting(ts, near, view.owner, claims=True)]
 
 
 def twist(view: View) -> View:

@@ -68,6 +68,20 @@ class TestCheck:
         assert code == 2
         assert "nested deeper than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formula, message", [
+        ("$", "unexpected character '$' (at position 0)"),
+        ("true)", "unexpected trailing input ')' (at position 4)"),
+        ("l < 1.2.3", "bad number '1.2.3' (at position 4)"),
+        ("foo", "bare identifier 'foo' is not a formula (at position 0)"),
+        ("@nope", "unknown builtin @nope (at position 1)"),
+        ("@pc", "@pc: takes 1 to 2 arguments, got 0 (at position 1)"),
+        # the tokenizer reads no '-': length bounds are never negative
+        ("l < -1", "unexpected character '-' (at position 4)"),
+    ])
+    def test_malformed_formula_exits_2(self, capsys, formula, message):
+        assert main(["check", "left-turn", "--formula", formula, "--car", "E"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_fifty_deep_formula_evaluates(self, capsys):
         formula = "(" * 26 + "!" * 24 + "true" + ")" * 26  # 50 levels around true
         assert main(["check", "left-turn", "--formula", formula, "--car", "E"]) == 0
@@ -105,13 +119,39 @@ class TestValidate:
         ("size=4", "size=4 braking=-30", 36, "braking must be non-negative"),
         ("max_time = 12", "max_time = -1", 39, "max_time must be positive"),
         ("[params]\n", "[params]\npatience = -1\n", 38, "patience must be positive"),
+        # scenario rules; those checked on the whole scenario name no line
+        ("[params]\n", "[parms]\n", 37, "unknown section [parms]"),
+        ("car E path", "cat E path", 36, "bad car line 'cat E path=7,c0,c1,c2,4 "),
+        ("max_time = 12", "max_time 12", 39, "bad parameter line 'max_time 12'"),
+        ("[network]\n", "stray\n[network]\n", 3, "content before any section: 'stray'"),
+        ("max_time = 12", "max_time = soon", 39, "bad value for max_time: 'soon'"),
+        ("lane 0 150", "lane 0 far", 4, "bad weight 'far'"),
+        ("size=4", "size=4\ncar E path=7 pos=10", 37, "duplicate car E"),
+        ("size=4", "size=4 fast", 36, "bad car field 'fast'"),
+        ("path=7,c0,c1,c2,4", "path=7,c0,c1,c2,9", 36, "car E: path node 9 not in network"),
+        ("path=7,c0,c1,c2,4", "path=7,c0,c2,4", 36,
+         "car E: path adjacency c0 -> c2 is not a directed edge"),
+        ("size=4", "size=4 node=0", 36, "car E: node 0 not on its path"),
+        ("size=4", "size=4 controllers=road,pilot", 36, "unknown controller kind 'pilot'"),
+        ("dt = 0.05", "dt = 0", None, "dt must be positive"),
+        ("[params]\n", "[params]\nh_f = 10\n", None, "h_f must cover d_c + max_se"),
+        ("path=7,c0,c1,c2,4 pos=100", "path=4 pos=148", None,
+         "E: initial envelope runs past its path"),
+        ("[params]\n", "[params]\nt_cr = 0\n", None, "t_cr must be positive"),
+        ("[params]\n", "[params]\nt = 0.5\n", None,
+         "helper reply bound t must be smaller than t_w"),
+        # network rules
+        ("pair 6 7 r0", "pair 6 9 r0", None, "undirected edge (6,9) references unknown node"),
+        ("edge 7 c0", "edge 7 c9", None, "directed edge (7,c9) references unknown node"),
+        ("edge c0 c1", "edge c0 c0", None, "directed self-edge on c0"),
+        ("pair 6 7 r0", "pair 7 7 r0", None, "undirected self-edge on 7"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, old, new, line, message):
         path = edited_copy(tmp_path, "lone-left-turn", old, new)
         for command in ("validate", "run"):
             assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"line {line}: {message}" in err, err
+            assert (f"line {line}: {message}" if line else message) in err, err
 
     def test_standing_car_is_valid(self, tmp_path):
         assert main(["validate", str(edited_copy(tmp_path, "lone-left-turn",
@@ -223,6 +263,14 @@ class TestMalformedScenario:
         code, err = self.run_edited(tmp_path, capsys, "size=4", "size=4 heading=nope")
         assert code == 2
         assert "heading must be true or false, got 'nope'" in err and "line 36" in err
+
+    @pytest.mark.parametrize("cid", ["ego", "true", "free", "cs", "re", "cl", "dir", "l",
+                                     "1A", "path=7,c0,c1,c2,4"])
+    def test_car_id_formulas_cannot_name(self, tmp_path, capsys, cid):
+        # "car path=7,..." once read as a car without a path
+        code, err = self.run_edited(tmp_path, capsys, "car E ", f"car {cid} ")
+        assert code == 2
+        assert f"line 36: car id {cid!r} is not a name formulas can use" in err, err
 
     def test_repeated_car_field(self, tmp_path, capsys):
         code, err = self.run_edited(tmp_path, capsys, "speed=10", "speed=10 speed=3")

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from crossings.formulas import (
-    _overlap_pos,
     ca_formula,
     check_ca,
     check_lc,
@@ -33,7 +32,6 @@ from crossings.logic import (
     EvalContext,
     Not,
     SetDisjoint,
-    _intersects_open,
     ands,
     default_valuation,
     eval_formula,
@@ -46,7 +44,14 @@ from crossings.params import ProtocolParams
 from crossings.randomgen import negative_scenario, sweep_scenario
 from crossings.scenario import load_scenario
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import Kind, MultiView, build_multiview, car_fragment
+from crossings.views import (
+    Kind,
+    MultiView,
+    build_multiview,
+    car_fragment,
+    intersects_open,
+    overlap_pos,
+)
 
 from conftest import make_car
 from gridgen import _TOPO, H_B, H_F, random_scene
@@ -111,8 +116,8 @@ class TestEquivalence:
 def _col_pair(ctx, a, b):
     """Do the reservations of cars a and b overlap on one lane of the view?"""
     return a != b and any(
-        _overlap_pos(ctx.runs(lane, Kind.RESERVED, a),
-                     ctx.runs(lane, Kind.RESERVED, b))
+        overlap_pos(ctx.runs(lane, Kind.RESERVED, a),
+                    ctx.runs(lane, Kind.RESERVED, b))
         for lane in (0, 1))
 
 
@@ -271,7 +276,7 @@ def _brute_col(ts, mv, ego, ground_truth):
             if not mine:
                 continue
             for c, theirs in merged.items():
-                if c != ego and _overlap_pos(
+                if c != ego and overlap_pos(
                         mine, theirs.get((lane_idx, Kind.RESERVED), [])):
                     return (c, idx)
     return None
@@ -287,7 +292,7 @@ def _brute_pc(ts, mv, ego):
                 continue
             for c in ctx.car_ids:
                 if c != ego and any(
-                    _overlap_pos(mine, ctx.runs(lane_idx, kind, c))
+                    overlap_pos(mine, ctx.runs(lane_idx, kind, c))
                     for kind in Kind
                 ):
                     out.add(c)
@@ -302,7 +307,7 @@ def _brute_ca(ts, mv, ego, d_c):
             continue
         start = span[0]
         for lo, hi in ctx.runs(lane_idx, Kind.RESERVED, ego):
-            if hi < start - EPS and start - hi < d_c - EPS and not _intersects_open(
+            if hi < start - EPS and start - hi < d_c - EPS and not intersects_open(
                 ctx.any_occ.get(lane_idx, []), hi, start
             ):
                 return True

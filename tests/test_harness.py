@@ -5,9 +5,9 @@ from importlib import resources
 
 import pytest
 
-from crossings.automata import ControllerInstance
+from crossings.automata import ControllerDefinition, ControllerInstance, Transition
 from crossings.formulas import pc_cars, ph_cars
-from crossings.harness import Simulation, run, write_trace
+from crossings.harness import FUEL, Simulation, run, write_trace
 from crossings.network import cs
 from crossings.randomgen import negative_scenario, sweep_scenario
 from crossings.scenario import (
@@ -183,6 +183,27 @@ class TestMonitor:
             "0.050 Violation kind=invariant inst=E/helper/0 state=q4 "
             "invariant=phinv(h, cs_h) & x <= t_w + t_cr",
         ]
+
+    def test_exhausted_fuel_is_reported_as_a_livelock(self):
+        # a chain of FUEL + 5 unguarded action edges fires one edge per pass:
+        # tick 0 runs out of passes, tick 1 finishes the chain and comes to rest
+        chain = ControllerDefinition("chain", "s0", {}, tuple(
+            Transition(f"s{i}", f"s{i + 1}", f"step{i}") for i in range(FUEL + 5)))
+        sim = Simulation(load_scenario("lone-left-turn"))
+        inst = ControllerInstance(chain, "E")
+        sim.instances.append(inst)
+
+        def livelocks():
+            return [ev.render() for ev in sim.events if ev.kind == "Violation"
+                    and dict(ev.payload)["kind"] == "livelock suspected"]
+
+        sim.step()
+        assert inst.state == f"s{FUEL}"
+        assert livelocks() == ["0.000 Violation kind=livelock suspected "
+                               "detail=micro-step fuel exhausted at t=0.000"]
+        sim.step()
+        assert inst.state == f"s{FUEL + 5}"
+        assert len(livelocks()) == 1
 
     def test_sweep_sample_is_safe_and_sane(self):
         for seed in (0, 1, 2, 3):

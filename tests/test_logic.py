@@ -105,6 +105,16 @@ class TestParse:
                      "@disjoint(a, b)"):
             parse(text)
 
+    def test_names_a_car(self):
+        # an id is accepted when formulas can name it wherever they name cars
+        for cid in ("E", "A2", "_x", "olc", "c"):
+            assert logic.names_a_car(cid)
+            assert parse(f"re({cid}) & {cid} = {cid} & @pc({cid})") == And(
+                Re(cid), And(Eq(cid, cid), parse(f"@pc({cid})")))
+        for cid in ("ego", "true", "free", "cs", "re", "cl", "dir", "l",
+                    "1A", "a-b", "E.", "@ol", ""):
+            assert not logic.names_a_car(cid)
+
     def test_roundtrip_through_pretty(self):
         rng = random.Random(1)
         for _ in range(200):
@@ -403,6 +413,28 @@ def _rooted(rng, depth, car_vars, identities):
 
 class TestMembership:
     """The top-down membership test against membership in the full truth set."""
+
+    def test_chops_around_a_middle_other_than_the_lane_split(self):
+        # true ; X ; true holds exactly when X holds on some slice, also
+        # when X is not the lane split that ``somewhere`` puts there
+        shapes = [parse(text) for text in (
+            "true ; re(ego) ; true",
+            "true ; [re(ego) / re(ego)] ; true",
+            "true ; (free & l < 5) ; true",
+            "true ; [true / re(ego)] ; true",
+            "true ; [free & l > 3 / cs] ; true",
+            "true ; [free / re(ego)] ; true",
+        )]
+        rng = random.Random(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(50):
+            ts, view = random_scene(rng)
+            nu = default_valuation(ts, "E")
+            for f in shapes:
+                got = eval_formula(ts, view, nu, f)
+                assert got == oracle_eval(ts, view, nu, f, points=GRID_POINTS), pretty(f)
+                verdicts[got] += 1
+        assert min(verdicts.values()) > 50, verdicts
 
     @pytest.mark.parametrize("identities", [False, True])
     def test_member_agrees_with_the_truth_set(self, identities):

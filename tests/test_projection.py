@@ -23,7 +23,7 @@ def node_entries(ts, cid, own, ground_truth):
     net = ts.net
     try:
         extent = safety_envelope(ts, cid) if own or ground_truth \
-            else physical_extent(ts, "", cid)
+            else physical_extent(ts, cid)
     except PathExhausted:
         extent = []
     out = []

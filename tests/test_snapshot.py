@@ -17,6 +17,7 @@ from crossings.snapshot import (
     safety_envelope,
     sanity_check,
 )
+from crossings.views import node_occupancy
 
 from conftest import make_car, random_fleet
 
@@ -98,16 +99,20 @@ class TestPhysicalExtent:
     def test_observer_does_not_see_braking_distance(self, make_snapshot):
         car = make_car(path("5", "c3", "6"), 140.0, speed=12.0, size=4.0)
         ts = make_snapshot(D=car, E=make_car(path("7", "c0", "0"), 10.0))
-        seen = physical_extent(ts, "E", "D")
+        seen = physical_extent(ts, "D")
         assert seen == [(lane(5), (140.0, 144.0))]
         # the true envelope reaches further (here cut at the unreserved cell)
         true = safety_envelope(ts, "D")
         assert true[-1][1][1] == 150.0
 
     def test_own_extent_is_the_full_envelope(self, make_snapshot):
+        # a car knows its own braking distance; the others see its size
         car = make_car(path("7", "c0", "0"), 10.0, speed=10.0)
         ts = make_snapshot(E=car)
-        assert physical_extent(ts, "E", "E") == safety_envelope(ts, "E")
+        own, seen = (node_occupancy(ts, "E", owner)[0] for owner in ("E", "D"))
+        assert own == [(n, lo, hi) for n, (lo, hi) in safety_envelope(ts, "E")]
+        assert seen == [(n, lo, hi) for n, (lo, hi) in physical_extent(ts, "E")]
+        assert own != seen
 
     def test_physical_is_prefix_of_envelope(self, topo):
         rng = random.Random(11)
@@ -115,12 +120,9 @@ class TestPhysicalExtent:
             ts = random_fleet(topo, rng, rng.randint(1, 6))
             for cid in ts.car_ids():
                 try:
-                    phys = physical_extent(ts, "Z", cid) if "Z" in ts.cars else \
-                        physical_extent(ts, ts.car_ids()[0], cid)
+                    phys = physical_extent(ts, cid)
                     full = safety_envelope(ts, cid)
                 except PathExhausted:
-                    continue
-                if cid == ts.car_ids()[0]:
                     continue
                 assert len(phys) <= len(full)
                 for (node_p, iv_p), (node_f, iv_f) in zip(phys, full):
