@@ -6,17 +6,26 @@ view at a point along the lanes, a vertical chop splits it between lanes.
 Satisfaction is checked against (snapshot, view, valuation).
 
 The evaluator is exact.  It computes the set of sub-slices [x1, x2] of the
-view on which each sub-formula holds, as a finite union of zones: convex
-sets cut out by difference constraints (x_i - x_j < c or <= c) over
-(0, x1, x2), kept as closed difference-bound matrices, the DBMs of
-timed-automata checkers.  Atoms hold inside exact interval bounds
-(lo <= x1 and x2 <= hi, no EPS widening) on slices longer than EPS:
-re/cl give one zone per merged run, cs one for the crossing span, free one
-per gap between the merged occupancy runs.  Negation, conjunction,
-quantifiers and the vertical chop are set operations; a horizontal chop
-joins its operands' zones at a shared middle point and eliminates it.  The
-formula holds on the view when the whole view is in its set.  There is no
-search and no cap.  The test suite pits it against a dense-grid brute force.
+view on which each sub-formula holds.  Atoms hold inside exact interval
+bounds (no EPS widening) on slices longer than EPS, so an atom's set is a
+tuple of boxes (lo, hi), each the slices with lo <= x1, x2 <= hi and
+x2 - x1 > EPS: re/cl give one per merged run, cs one for the crossing span,
+free one per gap between the merged occupancy runs, each clipped to the view
+and kept if still longer than EPS.  Sets stay boxes under & (two boxes meet
+in their overlap, ``views.overlaps``) and under union (a | b, E x. and the
+lane splits of the vertical chop), which covers the ``somewhere`` shapes of
+the protocol builtins.  Other operators read zones: convex sets cut out by
+difference constraints (x_i - x_j < c or <= c) over (0, x1, x2), kept as
+closed difference-bound matrices, the DBMs of timed-automata checkers, in a
+list.  A box becomes the zone of its own bounds, written closed (``_box``):
+the same set, and closed DBMs are canonical, so where boxes become zones
+changes no verdict.  Only a box longer than EPS by less than a rounding step
+tells them apart: closing its bounds in floating point would empty it, and
+the box keeps it, as exact arithmetic does.  Negation is a set difference;
+a horizontal chop joins its operands' zones at a shared middle point and
+eliminates it.  The formula holds on the view when the whole view is in its
+set.  There is no search and no cap.  The test suite pits it against a
+dense-grid brute force.
 
 Set identities save work; each is exact because every truth set lies inside
 the domain D, the sub-slices of the view:
@@ -31,7 +40,7 @@ the domain D, the sub-slices of the view:
   refuses car ids).
 
 The verdict asks only whether the whole view [a, b] is in the root's set,
-and that is decided top-down, building zone sets only below the operators
+and that is decided top-down, building truth sets only below the operators
 that need them; each step is exact because [a, b] lies in D:
 - [a, b] in D - A exactly when it is not in A, so ! negates the answer
   (and the ``ors`` shape becomes "in A or in B");
@@ -43,7 +52,8 @@ that need them; each step is exact because [a, b] lies in D:
 - X = [true / [g / true]], the lane split of ``somewhere``, is the union of
   g's sets on the lane sets (), (0,), (1,) and (0, 1), since true is D on
   every lane set and D & Y = Y: it is non-empty when one of them is.
-Other roots fall back to the full set.  Runs, projected per car on demand
+Other roots fall back to the full set; [a, b] is in a box when lo <= a,
+b <= hi and b - a > EPS.  Runs, projected per car on demand
 (``EvalContext``), and the rules on them come from ``views``.  One walk
 over the formula per verdict checks its variables and finds the free
 variables of each E x., shared by every view of a multi-view.
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 from .snapshot import TrafficSnapshot
-from .views import EPS, Kind, MultiView, View, car_fragment, car_runs, gaps, occupied
+from .views import EPS, Kind, MultiView, View, car_fragment, car_runs, gaps, occupied, overlaps
 
 
 class LogicError(ValueError):
@@ -236,7 +246,8 @@ class EvalContext:
 # Zones.  A zone is a closed difference-bound matrix over (x0 = 0, x1, x2),
 # flattened row by row: entry 3*i + j bounds x_i - x_j.  A bound is (c, s),
 # s = -1 for '<' and 0 for '<=', so tuple order is tightness order.  A truth
-# set is a list of zones with no empty zone and no zone inside another.
+# set is a tuple of boxes longer than EPS, or a list of zones with no empty
+# zone and no zone inside another.
 
 _INF = float("inf")
 _NONE = (_INF, 0)  # no bound
@@ -348,9 +359,11 @@ def _chop(zs, ws) -> list:
     return _prune(out)
 
 
-def _slices(lo, hi) -> tuple:
-    """lo <= x1 and x2 <= hi, with x2 - x1 > EPS."""
-    return _constraints((1, (-lo, 0)), (5, (-EPS, -1)), (6, (hi, 0)))
+def _box(lo, hi) -> tuple:
+    """The zone lo <= x1, x2 <= hi, x2 - x1 > EPS of a box inside the view,
+    closed: the domain's bounds add nothing to it."""
+    return (_LE0, (-lo, 0), (-lo - EPS, -1), (hi - EPS, -1), _LE0, (-EPS, -1),
+            (hi, 0), (hi - lo, 0), _LE0)
 
 
 def _length(op: str, d: float) -> tuple:
@@ -374,22 +387,27 @@ class _Zones:
         self.ctx = ctx
         self.scope = scope  # id(E x. node) -> free variables of it
         a, b = ctx.view.extent
-        # the domain a <= x1 <= x2 <= b
-        domain = _close(_constraints((1, (-a, 0)), (2, (-a, 0)), (3, (b, 0)),
-                                     (5, _LE0), (6, (b, 0))), 3)
-        self.all = [domain] if domain else []
+        # the domain a <= x1 <= x2 <= b, closed
+        self.all = [(_LE0, (-a, 0), (-a, 0), (b, 0), _LE0, _LE0, (b, 0), (b - a, 0), _LE0)
+                    ] if a <= b else []
         self.memo: dict = {}
 
-    def holds(self, zones) -> bool:
+    def zones(self, s) -> list:
+        """The truth set s as zones: each box the zone of its constraints."""
+        return _prune([_box(lo, hi) for lo, hi in s]) if type(s) is tuple else s
+
+    def holds(self, s) -> bool:
         """Is the whole view [a, b] in the truth set?"""
         a, b = self.ctx.view.extent
+        if type(s) is tuple:
+            return b - a > EPS and any(lo <= a and b <= hi for lo, hi in s)
         v = (0.0, a, b)
         return any(all((v[k // 3] - v[k % 3], 0) <= bound for k, bound in enumerate(z))
-                   for z in zones)
+                   for z in s)
 
     def member(self, f, nu, nu_token) -> bool:
         """Is the whole view [a, b] in the truth set of f over both lanes?
-        Decided top-down, so zone sets are built only below the operators
+        Decided top-down, so truth sets are built only below the operators
         that need them."""
         kind = type(f)
         if kind is Not:
@@ -410,7 +428,7 @@ class _Zones:
             return bool(self.run(x, nu, nu_token, _BOTH))
         return self.holds(self.run(f, nu, nu_token, _BOTH))
 
-    def run(self, f, nu, nu_token, lanes) -> list:
+    def run(self, f, nu, nu_token, lanes):
         key = (id(f), nu_token, lanes)
         hit = self.memo.get(key)
         if hit is None:
@@ -444,13 +462,24 @@ class _Zones:
             return [span] if span else []
         return ctx.runs(lane, _KIND[kind], nu[f.var])
 
-    def _meet(self, zs, ws) -> list:
+    def _meet(self, zs, ws):
         """zs & ws, with D & X = X: every truth set lies inside D."""
-        if zs is self.all:
+        if zs is self.all or not ws:
             return ws
-        return zs if ws is self.all else _meet(zs, ws)
+        if ws is self.all or not zs:
+            return zs
+        if type(zs) is tuple and type(ws) is tuple:
+            return overlaps(zs, ws)
+        return _meet(self.zones(zs), self.zones(ws))
 
-    def _eval(self, f, nu, nu_token, lanes) -> list:
+    def _union(self, sets):
+        """The union of truth sets, as boxes while every set is boxes."""
+        sets = [s for s in sets if s]
+        if all(type(s) is tuple for s in sets):
+            return tuple(box for s in sets for box in s)
+        return _prune([z for s in sets for z in self.zones(s)])
+
+    def _eval(self, f, nu, nu_token, lanes):
         kind = type(f)
         if kind is TrueF:
             return self.all
@@ -465,33 +494,29 @@ class _Zones:
         if kind is Free or kind is Cs or kind is Re or kind is Cl:
             if len(lanes) != 1:
                 return []
-            return _meet(self.all, [_slices(lo, hi) for lo, hi in self._runs(f, nu, lanes[0])])
+            return overlaps(self._runs(f, nu, lanes[0]), [self.ctx.view.extent])
         if kind is Not:
             g = f.f
             if type(g) is And and type(g.a) is Not and type(g.b) is Not:
                 # a | b: D - ((D - A) & (D - B)) = A | B for A, B inside D
-                return _prune(self.run(g.a.f, nu, nu_token, lanes)
-                              + self.run(g.b.f, nu, nu_token, lanes))
+                return self._union((self.run(g.a.f, nu, nu_token, lanes),
+                                    self.run(g.b.f, nu, nu_token, lanes)))
             inner = self.run(g, nu, nu_token, lanes)
-            return [] if inner is self.all else _minus(self.all, inner)
+            return [] if inner is self.all else _minus(self.all, self.zones(inner))
         if kind is And:
             left = self.run(f.a, nu, nu_token, lanes)
             return self._meet(left, self.run(f.b, nu, nu_token, lanes)) if left else []
         if kind is Exists:
-            out = []
-            for child, token in self._bindings(f, nu, nu_token):
-                out += self.run(f.f, child, token, lanes)
-            return _prune(out)
+            return self._union([self.run(f.f, child, token, lanes)
+                                for child, token in self._bindings(f, nu, nu_token)])
         if kind is VChop:
-            out = []
-            for t in range(len(lanes) + 1):
-                lower, upper = lanes[:t], lanes[t:]
-                out += self._meet(self.run(f.upper, nu, nu_token, upper),
-                                  self.run(f.lower, nu, nu_token, lower))
-            return _prune(out)
+            return self._union([self._meet(self.run(f.upper, nu, nu_token, lanes[t:]),
+                                           self.run(f.lower, nu, nu_token, lanes[:t]))
+                                for t in range(len(lanes) + 1)])
         if kind is HChop:
             left = self.run(f.a, nu, nu_token, lanes)
-            return _chop(left, self.run(f.b, nu, nu_token, lanes)) if left else []
+            return _chop(self.zones(left),
+                         self.zones(self.run(f.b, nu, nu_token, lanes))) if left else []
         raise LogicError(f"cannot evaluate node {kind.__name__}")
 
 

@@ -21,8 +21,10 @@ judges the car).  Unknown or repeated parameters and car fields are errors,
 and so are a ``lane`` or ``cs`` line that declares a node again, a ``pair``
 or ``intersection`` name that repeats, that does not fit exactly one
 component, or that another component has as its id, a car id that formulas
-cannot name (not one identifier, ``ego`` or a word of their syntax), and a
-car whose rear is on a crossing segment with no lane before it on its path.
+cannot name (not one identifier, ``ego`` or a word of their syntax), a car
+whose rear is on a crossing segment with no lane before it on its path, and
+a car whose safety envelope (size + braking) is wider than ``max_se``, the
+widest envelope the protocol's distance bounds allow for a hidden car.
 """
 
 from __future__ import annotations
@@ -282,6 +284,10 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             cclm=_parse_nodes(line_no, fields.get("cclm", "")),
             cres=cres,
         )
+        envelope = state.size + state.braking
+        if envelope > params.max_se:
+            _err(line_no, f"car {cid}: safety envelope size + braking = {envelope:g} m "
+                          f"exceeds max_se = {params.max_se:g}")
         scenario.cars[cid] = state
         raw = fields.get("controllers", "road,crossing,helper")
         kinds = () if raw == "none" else tuple(raw.split(","))

@@ -375,6 +375,13 @@ def overlap_pos(a, b) -> bool:
     return False
 
 
+def overlaps(a, b) -> tuple:
+    """The overlaps longer than EPS of each run of a with each run of b;
+    neither list need be sorted or merged."""
+    return tuple((lo, hi) for p in a for q in b
+                 if (hi := min(p[1], q[1])) - (lo := max(p[0], q[0])) > EPS)
+
+
 def intersects_open(runs, x1, x2) -> bool:
     """Does a merged run reach more than EPS into the open stretch (x1, x2)?"""
     for lo, hi in runs:

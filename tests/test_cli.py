@@ -1,8 +1,14 @@
+import re
 from importlib import resources
 
 import pytest
 
 from crossings.cli import main
+from crossings.randomgen import sweep_scenario_text
+
+EACH_COMMAND = pytest.mark.parametrize(
+    "command", [["validate"], ["run"], ["check", "--formula", "true", "--car", "E"]],
+    ids=["validate", "run", "check"])
 
 
 def edited_copy(tmp_path, bundled, old, new):
@@ -287,9 +293,7 @@ class TestMalformedScenario:
         assert code == 2
         assert "repeated node 7 (first on line 11)" in err and "line 12" in err
 
-    @pytest.mark.parametrize("command", [["validate"], ["run"],
-                                         ["check", "--formula", "true", "--car", "E"]],
-                             ids=["validate", "run", "check"])
+    @EACH_COMMAND
     def test_rear_on_a_crossing_with_no_lane_before_it(self, tmp_path, capsys, command):
         path = edited_copy(tmp_path, "left-turn", "car A path=5,c3,6", "car A path=c3,6")
         code = main([command[0], str(path), *command[1:]])
@@ -297,6 +301,18 @@ class TestMalformedScenario:
         err = capsys.readouterr().err
         assert "car A: rear on crossing segment c3 with no lane before it" in err
         assert "line 37" in err
+
+    @EACH_COMMAND
+    def test_envelope_wider_than_max_se(self, tmp_path, capsys, command):
+        # sweep seed 87 at 2.5 times its speeds: car A's envelope is 78.4 m,
+        # and without this rule the run is unsafe
+        path = tmp_path / "fast.scn"
+        path.write_text(re.sub(r"speed=([0-9.]+)",
+                               lambda m: f"speed={float(m.group(1)) * 2.5:g}",
+                               sweep_scenario_text(87)))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert ("line 33: car A: safety envelope size + braking = 78.3525 m "
+                "exceeds max_se = 40") in capsys.readouterr().err
 
 
 class TestRun:

@@ -1,4 +1,6 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,6 +375,33 @@ class TestExactness:
         assert eval_formula(ts, view, nu, parse("<cl(E) ; re(E)>"))
         assert not eval_formula(ts, view, nu, parse("<cl(E) & re(E)>"))
 
+    def test_closed_forms_are_the_closures(self):
+        # the domain of _Zones and the zone of each box are written already
+        # closed; both must be what Floyd-Warshall makes of their constraints
+        rng = random.Random(5)
+        le0 = logic._LE0
+        for _ in range(5000):
+            a = rng.choice((0.0, -10.0, rng.uniform(-300, 300)))
+            b = a + rng.choice((0.0, 49.95, rng.uniform(-1, 300)))
+            domain = logic._close(logic._constraints(
+                (1, (-a, 0)), (2, (-a, 0)), (3, (b, 0)), (5, le0), (6, (b, 0))), 3)
+            zones = logic._Zones(SimpleNamespace(view=SimpleNamespace(extent=(a, b))), {})
+            assert zones.all == ([domain] if domain else [])
+            if domain is None:
+                continue
+            lo = rng.choice((a, rng.uniform(a, b)))
+            hi = min(b, rng.choice((b, rng.uniform(lo, b), lo + 2 * EPS, lo + 1.000001 * EPS)))
+            if hi - lo <= EPS:
+                continue
+            box = logic._constraints((1, (-lo, 0)), (5, (-EPS, -1)), (6, (hi, 0)))
+            closed = logic._close(tuple(map(min, domain, box)), 3)
+            if closed is None:
+                # rounding hi - EPS empties a box longer than EPS by less
+                # than a rounding step; the box rule keeps it, as reals do
+                assert hi - lo - EPS < 4 * math.ulp(max(abs(lo), abs(hi)))
+            else:
+                assert logic._box(lo, hi) == closed
+
     def test_five_chops_with_three_length_constants(self):
         f = parse("[true / true ; l < 1.73 ; l = 10.25 ; free & l > 11.01"
                   " ; free & l > 13.28]")
@@ -411,6 +440,21 @@ def _rooted(rng, depth, car_vars, identities):
     return somewhere(sub())
 
 
+def _agree_with_the_oracle(shapes, rng, scenes=50, any_ego=False):
+    """Each shape agrees with the dense-grid oracle on random scenes, with
+    more than 50 verdicts each way; ``any_ego`` binds ego to a random car
+    instead of E, whose view it is."""
+    verdicts = {True: 0, False: 0}
+    for _ in range(scenes):
+        ts, view = random_scene(rng)
+        nu = default_valuation(ts, rng.choice(sorted(ts.cars)) if any_ego else "E")
+        for f in shapes:
+            got = eval_formula(ts, view, nu, f)
+            assert got == oracle_eval(ts, view, nu, f, points=GRID_POINTS), pretty(f)
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
 class TestMembership:
     """The top-down membership test against membership in the full truth set."""
 
@@ -425,16 +469,29 @@ class TestMembership:
             "true ; [free & l > 3 / cs] ; true",
             "true ; [free / re(ego)] ; true",
         )]
-        rng = random.Random(17)
-        verdicts = {True: 0, False: 0}
-        for _ in range(50):
-            ts, view = random_scene(rng)
-            nu = default_valuation(ts, "E")
-            for f in shapes:
-                got = eval_formula(ts, view, nu, f)
-                assert got == oracle_eval(ts, view, nu, f, points=GRID_POINTS), pretty(f)
-                verdicts[got] += 1
-        assert min(verdicts.values()) > 50, verdicts
+        _agree_with_the_oracle(shapes, random.Random(17))
+
+    def test_shapes_where_boxes_meet_zones(self):
+        # truth sets stay one-lane boxes under &, | and E x. and turn into
+        # zones below a length bound, a horizontal chop or a negation; the
+        # oracle knows neither, so it checks both sides of that boundary.
+        # l > 6 reads a box's bounds after it became a zone, [free / free]
+        # asks a root set of boxes, and the last row meets a union of boxes
+        # and zones again
+        re_or_cs = ors(Re("ego"), Cs())  # the syntax has no |
+        shapes = [parse(text) for text in (
+            "<re(ego) & l < 5>",
+            "<re(ego) & l > 6>",
+            "<re(ego) ; free>",
+            "<!cs & re(ego)>",
+            "<[re(ego) / free] & E c. cl(c)>",
+            "re(ego)",
+            "free",
+            "[free / free]",
+        )] + [somewhere(And(re_or_cs, Not(Free()))), chops(TRUE, re_or_cs, TRUE),
+              somewhere(And(ors(Re("ego"), parse("cs & l > 4")), Not(Cs())))]
+        # with ego = E every re(ego) row would hold on every scene
+        _agree_with_the_oracle(shapes, random.Random(19), scenes=30, any_ego=True)
 
     @pytest.mark.parametrize("identities", [False, True])
     def test_member_agrees_with_the_truth_set(self, identities):
