@@ -2,7 +2,8 @@
 
 Builds the bundled four-approach intersection, walks its component
 structure and coarse graph, then places a car before the crossing and
-shows what its multi-view windows contain.
+shows what its multi-view windows contain: each car's merged runs per
+lane and kind.
 """
 
 from crossings import build_multiview
@@ -37,7 +38,7 @@ for i, view in enumerate(mv.views):
     print("   along:", " ".join(str(n) for n in fwd.nodes))
     print("  facing:", " ".join(str(n) for n in bwd.nodes))
     for cid in ts.car_ids():
-        for lane_idx, lo, hi, kind, crossing in car_fragment(ts, cid, view).intervals:
+        for (lane_idx, kind), runs in sorted(car_fragment(ts, cid, view).items()):
             side = "along " if lane_idx == 0 else "facing"
-            flag = " (crossing cell)" if crossing else ""
-            print(f"    {side} [{lo:7.2f}, {hi:7.2f}] {kind.name.lower():8} {cid}{flag}")
+            for lo, hi in runs:
+                print(f"    {side} [{lo:7.2f}, {hi:7.2f}] {kind.name.lower():8} {cid}")

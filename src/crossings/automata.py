@@ -1,13 +1,13 @@
 """Execution engine for the communicating controller automata.
 
-A controller definition is a plain state machine with clock and data
-variables; guards are predicates over (snapshot, multi-view, clocks, data),
+A controller definition is a plain state machine over one clock ``x`` and
+data variables; guards are predicates over (snapshot, multi-view, x, data),
 invariants annotate states, transitions optionally carry an input binding,
-output messages, controller actions on the traffic snapshot and variable
-updates.  Instances are stepped by the scheduler; all cross-instance effects
-flow through broadcast messages and snapshot actions.  An action edge (one
-without an input) fires at most once per tick; input edges fire once per
-accepted message.
+output messages, controller actions on the traffic snapshot (by their
+``ActionKind``), variable updates and a reset of ``x``.  Instances are
+stepped by the scheduler; all cross-instance effects flow through broadcast
+messages and snapshot actions.  An action edge (one without an input) fires
+at most once per tick; input edges fire once per accepted message.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ class GuardEnv:
 
     ts: TrafficSnapshot
     mv: MultiView
-    clocks: dict
+    x: float
     data: dict
     params: ProtocolParams
     car: str
 
     def with_bindings(self, bindings: dict) -> "GuardEnv":
-        return GuardEnv(self.ts, self.mv, self.clocks, {**self.data, **bindings},
+        return GuardEnv(self.ts, self.mv, self.x, {**self.data, **bindings},
                         self.params, self.car)
 
 
@@ -80,13 +80,12 @@ _CLOCK_TESTS = {"<": (operator.lt, -CLOCK_EPS), "<=": (operator.le, CLOCK_EPS),
                 ">=": (operator.ge, -CLOCK_EPS)}
 
 
-def clock_guard(params: ProtocolParams, clock: str, op: str, *names: str) -> Guard:
-    """``clock op p.name + ...``, labelled with the parameter names in the
-    given order; the bound is summed from ``params`` once, here."""
+def clock_guard(params: ProtocolParams, op: str, *names: str) -> Guard:
+    """``x op p.name + ...``, labelled with the parameter names in the given
+    order; the bound is summed from ``params`` once, here."""
     test, slack = _CLOCK_TESTS[op]
     bound = sum(getattr(params, name) for name in names) + slack
-    return Guard(f"{clock} {op} {' + '.join(names)}",
-                 lambda env: test(env.clocks[clock], bound))
+    return Guard(f"x {op} {' + '.join(names)}", lambda env: test(env.x, bound))
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,6 @@ class InputSpec:
 class OutputSpec:
     channel: str
     payload: Callable[[GuardEnv], tuple]
-    label: str
-
-
-@dataclass(frozen=True)
-class ActionSpec:
-    label: str
-    make: Callable[[GuardEnv], Optional[Action]]
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,9 @@ class Transition:
     guard: Optional[Guard] = None
     input: Optional[InputSpec] = None
     outputs: tuple = ()
-    actions: tuple = ()
+    actions: tuple = ()   # ActionKinds
     updates: tuple = ()   # (var, fn(env) -> value)
-    resets: tuple = ()    # clock names
+    reset: bool = False   # x := 0
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,6 @@ class ControllerDefinition:
     initial: str
     invariants: dict
     transitions: tuple
-    clocks: tuple = ("x",)
     data0: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -144,12 +135,6 @@ class ControllerDefinition:
         return self._edges.get((state, channel), ())
 
 
-@dataclass
-class FireResult:
-    messages: list
-    actions: list
-
-
 class ControllerInstance:
     def __init__(self, defn: ControllerDefinition, car: str, clone: int = 0):
         self.defn = defn
@@ -157,7 +142,7 @@ class ControllerInstance:
         self.clone = clone
         self.uid = f"{car}/{defn.name}/{clone}"
         self.state = defn.initial
-        self.clocks = {c: 0.0 for c in defn.clocks}
+        self.x = 0.0
         self.data = dict(defn.data0)
         self.fired_this_tick: set = set()  # ids of action edges fired this tick
 
@@ -167,8 +152,7 @@ class ControllerInstance:
     # -- time ---------------------------------------------------------------
 
     def advance(self, dt: float) -> None:
-        for c in self.clocks:
-            self.clocks[c] += dt
+        self.x += dt
 
     def invariant_ok(self, env: GuardEnv) -> bool:
         inv = self.defn.invariants.get(self.state)
@@ -181,9 +165,8 @@ class ControllerInstance:
     # -- transitions ----------------------------------------------------------
 
     def _admissible(self, t: Transition, env: GuardEnv) -> bool:
-        for spec in t.actions:
-            act = spec.make(env)
-            if act is not None and can_apply(env.ts, self.car, act) is not None:
+        for kind in t.actions:
+            if can_apply(env.ts, self.car, Action(kind)) is not None:
                 return False
         return True
 
@@ -217,19 +200,20 @@ class ControllerInstance:
                 return t, bindings
         return None
 
-    def fire(self, t: Transition, env: GuardEnv) -> FireResult:
-        """Apply a transition: emit outputs/actions, run updates, move state."""
+    def fire(self, t: Transition, env: GuardEnv) -> tuple[list, list]:
+        """Apply a transition: run updates, move state; returns the
+        (messages, actions) it emits."""
         messages = [
             Message(out.channel, tuple(out.payload(env)), self.car)
             for out in t.outputs
         ]
-        actions = [a for a in (spec.make(env) for spec in t.actions) if a is not None]
+        actions = [Action(kind) for kind in t.actions]
         for var, fn in t.updates:
             self.data[var] = fn(env)
-        for clock in t.resets:
-            self.clocks[clock] = 0.0
+        if t.reset:
+            self.x = 0.0
         self.state = t.target
         if t.input is None:
             # input firing is bounded by the message volume instead
             self.fired_this_tick.add(id(t))
-        return FireResult(messages, actions)
+        return messages, actions

@@ -20,7 +20,6 @@ from functools import partial
 
 from .automata import (
     ControllerDefinition,
-    ActionSpec,
     Guard,
     InputSpec,
     OutputSpec,
@@ -34,7 +33,7 @@ from .comm import Bus
 from .formulas import (check_ca, check_lc, check_oc, check_phinv, col_witness, pc_cars,
                        ph_cars)
 from .params import ProtocolParams
-from .snapshot import Action, ActionKind
+from .snapshot import ActionKind
 
 
 def standard_channels(bus: Bus) -> None:
@@ -66,24 +65,6 @@ G_PHINV_STORED = Guard(
 )
 
 
-# -- actions -----------------------------------------------------------------
-
-def _simple_action(kind: ActionKind) -> ActionSpec:
-    return ActionSpec(kind.value, lambda env, _k=kind: Action(_k))
-
-
-ACT_CC = _simple_action(ActionKind.CLAIM_CROSSING)
-ACT_WD_CC = _simple_action(ActionKind.WITHDRAW_CLAIM_CROSSING)
-ACT_RC = _simple_action(ActionKind.RESERVE_CROSSING)
-ACT_WD_RC = _simple_action(ActionKind.WITHDRAW_RESERVE_CROSSING)
-ACT_WD_CL = ActionSpec(
-    "wd cl",
-    lambda env: Action(ActionKind.WITHDRAW_CLAIM_LANE)
-    if env.ts.cars[env.car].clm
-    else None,
-)
-
-
 def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
     """Crossing manoeuvre protocol.
 
@@ -98,7 +79,7 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
     once; the stronger guard only removes runs, and q1's invariant ``ca``
     still holds while the car waits.
     """
-    x = partial(clock_guard, params, "x")
+    x = partial(clock_guard, params)
     invariants = {
         "q0": g_not(G_COL),
         "q1": G_CA,
@@ -107,10 +88,8 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
         "q4": g_and(x("<=", "t_cr"), G_OC),
         "q5": g_and(x("<=", "t_cr"), G_OC),
     }
-    send_cross = OutputSpec(
-        "cross", lambda env: (env.car, env.ts.cars[env.car].cclm), "cross!(ego, cs)"
-    )
-    send_finished = OutputSpec("finished", lambda env: (env.car,), "finished!ego")
+    send_cross = OutputSpec("cross", lambda env: (env.car, env.ts.cars[env.car].cclm))
+    send_finished = OutputSpec("finished", lambda env: (env.car,))
     not_failed = Guard("!failed", lambda env: not env.data["failed"])
     set_failed = (("failed", lambda env: True),)
     transitions = (
@@ -118,20 +97,21 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
                    updates=(("failed", lambda env: False),)),
         Transition("q1", "q2", "claim crossing",
                    guard=g_or(not_failed, x(">=", "t_w")),
-                   actions=(ACT_CC,), resets=("x",)),
+                   actions=(ActionKind.CLAIM_CROSSING,), reset=True),
         Transition("q2", "q1", "potential collision", guard=G_PC_ANY,
-                   actions=(ACT_WD_CC,), updates=set_failed, resets=("x",)),
+                   actions=(ActionKind.WITHDRAW_CLAIM_CROSSING,), updates=set_failed,
+                   reset=True),
         Transition(
             "q2", "q5", "reserve without helpers",
             guard=g_and(g_not(G_PC_ANY), g_not(G_PH_ANY), g_not(G_LC)),
-            actions=(ACT_RC,), resets=("x",),
+            actions=(ActionKind.RESERVE_CROSSING,), reset=True,
         ),
         Transition(
             "q2", "q3", "ask helpers",
             guard=g_and(G_PH_ANY, g_not(G_PC_ANY), g_not(G_LC)),
             outputs=(send_cross,),
             updates=(("H", lambda env: frozenset()),),
-            resets=("x",),
+            reset=True,
         ),
         Transition(
             "q3", "q3", "collect yes",
@@ -143,8 +123,8 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
             "q3", "q1", "no received",
             input=InputSpec("no", ("c",),
                             Guard("c = ego", lambda env: env.data["c"] == env.car)),
-            actions=(ACT_WD_CC,), outputs=(send_finished,),
-            updates=set_failed, resets=("x",),
+            actions=(ActionKind.WITHDRAW_CLAIM_CROSSING,), outputs=(send_finished,),
+            updates=set_failed, reset=True,
         ),
         Transition(
             "q3", "q4", "all helpers answered",
@@ -152,23 +132,23 @@ def crossing_controller(params: ProtocolParams) -> ControllerDefinition:
                 x(">=", "t_w"),
                 g_not(G_UNANSWERED), g_not(G_PC_ANY), g_not(G_LC),
             ),
-            actions=(ACT_RC,), resets=("x",),
+            actions=(ActionKind.RESERVE_CROSSING,), reset=True,
         ),
         Transition(
             "q3", "q1", "helper timeout",
             guard=g_and(x(">=", "t_w"), G_UNANSWERED),
-            actions=(ACT_WD_CC,), outputs=(send_finished,),
-            updates=set_failed, resets=("x",),
+            actions=(ActionKind.WITHDRAW_CLAIM_CROSSING,), outputs=(send_finished,),
+            updates=set_failed, reset=True,
         ),
         Transition(
             "q4", "q0", "manoeuvre finished",
             guard=x(">=", "t_cr"),
-            actions=(ACT_WD_RC,), outputs=(send_finished,),
+            actions=(ActionKind.WITHDRAW_RESERVE_CROSSING,), outputs=(send_finished,),
         ),
         Transition(
             "q5", "q0", "manoeuvre finished",
             guard=x(">=", "t_cr"),
-            actions=(ACT_WD_RC,),
+            actions=(ActionKind.WITHDRAW_RESERVE_CROSSING,),
         ),
     )
     return ControllerDefinition(
@@ -186,7 +166,7 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
     q0 idle; q1/q3/q5 are urgent decline states; q2 committing to an
     enquirer (answer due within t); q4 guarding the enquirer's manoeuvre.
     """
-    x = partial(clock_guard, params, "x")
+    x = partial(clock_guard, params)
     conflict_guard = Guard(
         "c != a & cs n cs_a != {}",
         lambda env: env.data["c"] != env.car
@@ -204,9 +184,9 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
         and bool(frozenset(env.data["cs"]) & frozenset(env.data["cs_h"])),
     )
     finished_from_h = Guard("c = h", lambda env: env.data["c"] == env.data["h"])
-    send_no_d = OutputSpec("no", lambda env: (env.data["d"],), "no!d")
-    send_no_h = OutputSpec("no", lambda env: (env.data["h"],), "no!h")
-    send_yes = OutputSpec("yes", lambda env: (env.data["h"], env.car), "yes!(h, a)")
+    send_no_d = OutputSpec("no", lambda env: (env.data["d"],))
+    send_no_h = OutputSpec("no", lambda env: (env.data["h"],))
+    send_yes = OutputSpec("yes", lambda env: (env.data["h"], env.car))
 
     invariants = {
         "q2": g_and(G_PHINV_STORED, x("<", "t")),
@@ -226,7 +206,7 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
                 ("h", lambda env: env.data["c"]),
                 ("cs_h", lambda env: frozenset(env.data["cs"])),
             ),
-            resets=("x",),
+            reset=True,
         ),
         Transition("q1", "q0", "decline", outputs=(send_no_d,)),
         Transition(
@@ -242,7 +222,7 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
         Transition(
             "q2", "q4", "commit with yes",
             guard=g_and(G_PHINV_STORED, x("<", "t")),
-            outputs=(send_yes,), resets=("x",),
+            outputs=(send_yes,), reset=True,
         ),
         Transition(
             "q2", "q0", "cannot help",
@@ -285,7 +265,7 @@ def road_controller_stub() -> ControllerDefinition:
     transitions = (
         Transition("idle", "hold", "crossing zone entered", guard=G_CA),
         Transition("hold", "hold", "withdraw lane claim",
-                   guard=has_claim, actions=(ACT_WD_CL,)),
+                   guard=has_claim, actions=(ActionKind.WITHDRAW_CLAIM_LANE,)),
         Transition("hold", "idle", "crossing zone left", guard=g_not(G_CA)),
     )
     return ControllerDefinition(

@@ -8,7 +8,9 @@ included): the ``geom_*`` functions and the multi-view checks built on them
 decide the predicates on projected occupancy runs by the run rules in
 ``views``, and project only the cars that can change the verdict: those
 whose node-local occupancy meets the ego's, or the stretch in question, on a
-shared network node (the broad phase in ``views``); none reads every car.
+shared network node (the broad phase in ``views``).  Only ``ph_cars`` reads
+every car: it asks ``geom_ph`` of each on every view, and each of those
+reads that car's runs first.
 ``test_formulas`` pins both routes against each other on randomized
 snapshots and on scenes where the guards are true, and the narrowed checks
 against all-car scans.
@@ -191,8 +193,8 @@ def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
 def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
     if c == ego:
         return False
-    mine = car_fragment(ts, ego, view).merged
-    theirs = car_fragment(ts, c, view).merged
+    mine = car_fragment(ts, ego, view)
+    theirs = car_fragment(ts, c, view)
     for lane in (0, 1):
         claim = mine.get((lane, Kind.CLAIMED))
         if not claim:
@@ -250,7 +252,7 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
         return False
     span = view.crossing_span(1)
     theirs = car_fragment(ts, c, view)
-    if span is None or not theirs.intervals:
+    if span is None or not theirs:
         return False
     ego_intervals = car_runs(ts, view, ego, 0)
     if not ego_intervals:
@@ -260,7 +262,7 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     if p_lo >= t1 - EPS:
         return False
     a, b = view.extent
-    for j1, j2 in theirs.merged.get((1, Kind.RESERVED), []):
+    for j1, j2 in theirs.get((1, Kind.RESERVED), []):
         if j1 <= t1 + EPS or j1 - t1 >= params.d_c_prime - EPS:
             continue
         # one broad phase for the gap on lane 1 and the window on lane 0
@@ -373,13 +375,13 @@ def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
     if not rivals:
         return None
     for idx, view in enumerate(mv.views):
-        mine = car_fragment(ts, ego, view, ground_truth).merged
+        mine = car_fragment(ts, ego, view, ground_truth)
         for lane_idx in (0, 1):
             ego_runs = mine.get((lane_idx, Kind.RESERVED))
             if not ego_runs:
                 continue
             for c in rivals:
-                runs = car_fragment(ts, c, view, ground_truth).merged.get(
+                runs = car_fragment(ts, c, view, ground_truth).get(
                     (lane_idx, Kind.RESERVED))
                 if runs and overlap_pos(ego_runs, runs):
                     return (c, idx)

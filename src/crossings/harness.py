@@ -3,10 +3,11 @@
 Each tick runs: (1) a micro-step fixpoint in which controllers fire enabled
 transitions and broadcasts are delivered until nothing moves, (2) the
 safety monitor over ground-truth views, (3) every controller's state
-invariant, (4) one kinematic evolution step with all clocks advanced.  An
-action edge fires at most once per tick, and a tick whose micro-steps still
-move after ``FUEL`` passes reports a suspected livelock.  Everything is
-deterministic: cars, instances and messages are processed in a fixed order.
+invariant, (4) one kinematic evolution step with every controller's clock
+advanced.  An action edge fires at most once per tick, and a tick whose
+micro-steps still move after ``FUEL`` passes reports a suspected livelock.
+Everything is deterministic: cars, instances and messages are processed in a
+fixed order.
 
 Helper clones are made on demand: ``Simulation.instances`` holds road,
 crossing and the helper clones that are busy or went back to q0 this tick.
@@ -103,7 +104,7 @@ class Simulation:
         return build_multiview(self.topo, self.ts, cid, self.scenario.h_b, self.scenario.h_f)
 
     def env_for(self, inst: ControllerInstance) -> GuardEnv:
-        return GuardEnv(self.ts, self._mv(inst.car), inst.clocks, inst.data, self.params,
+        return GuardEnv(self.ts, self._mv(inst.car), inst.x, inst.data, self.params,
                         inst.car)
 
     # -- events ----------------------------------------------------------------
@@ -180,10 +181,10 @@ class Simulation:
             if inst not in self.instances:  # a fresh clone that accepted
                 bisect.insort(self.instances, inst, key=_order)
             env = self.env_for(inst).with_bindings(bindings)
-            result = inst.fire(transition, env)
+            messages, actions = inst.fire(transition, env)
             self._record_transition(inst, transition)
-            self._apply_actions(inst, result.actions)
-            pending.extend(result.messages)
+            self._apply_actions(inst, actions)
+            pending.extend(messages)
         for out in pending:
             self._deliver(out)
 
@@ -233,10 +234,10 @@ class Simulation:
                 env = self.env_for(inst)
                 transition = inst.enabled_transition(env)
                 if transition is not None:
-                    result = inst.fire(transition, env)
+                    messages, actions = inst.fire(transition, env)
                     self._record_transition(inst, transition)
-                    self._apply_actions(inst, result.actions)
-                    for msg in result.messages:
+                    self._apply_actions(inst, actions)
+                    for msg in messages:
                         self._deliver(msg)
                     fired = True
                     # clones that joined while delivering may sit before it

@@ -209,7 +209,7 @@ def default_valuation(ts: TrafficSnapshot, ego: str) -> dict:
 
 class EvalContext:
     """Occupancy of one view as the evaluator reads it, projected per car on
-    demand: re, cl and dir read one car's fragment; only free (``any_occ``)
+    demand: re, cl and dir read one car's runs; only free (``any_occ``)
     and the stand-in rule of E x. (``visible``) read every car."""
 
     def __init__(self, ts: TrafficSnapshot, view: View):
@@ -228,18 +228,17 @@ class EvalContext:
         """Is the car on the view and heading along its lane?"""
         state = self.ts.cars.get(car)
         return bool(state and state.heading_with_lane
-                    and car_fragment(self.ts, car, self.view).intervals)
+                    and car_fragment(self.ts, car, self.view))
 
     @cached_property
     def visible(self) -> set:
-        """The cars with a fragment on the view."""
-        return {cid for cid in self.car_ids
-                if car_fragment(self.ts, cid, self.view).intervals}
+        """The cars with runs on the view."""
+        return {cid for cid in self.car_ids if car_fragment(self.ts, cid, self.view)}
 
     @cached_property
     def any_occ(self) -> dict:
         """lane -> the merged runs of every car, reserved or claimed."""
-        fragments = [car_fragment(self.ts, cid, self.view).merged for cid in self.car_ids]
+        fragments = [car_fragment(self.ts, cid, self.view) for cid in self.car_ids]
         return {lane: occupied(fragments, lane) for lane in (0, 1)}
 
 

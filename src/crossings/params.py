@@ -26,12 +26,3 @@ class ProtocolParams:
     def d_c_prime(self) -> float:
         """Trigger distance extended by the worst-case invisible envelope."""
         return self.d_c + self.max_se
-
-    def validate(self) -> list[str]:
-        problems = []
-        for name in ("d_c", "max_se", "t_o", "t_w", "t", "t_cr"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
-        if not self.t < self.t_w:
-            problems.append("helper reply bound t must be smaller than t_w")
-        return problems

@@ -25,6 +25,9 @@ cannot name (not one identifier, ``ego`` or a word of their syntax), a car
 whose rear is on a crossing segment with no lane before it on its path, and
 a car whose safety envelope (size + braking) is wider than ``max_se``, the
 widest envelope the protocol's distance bounds allow for a hidden car.
+Every parameter must be positive, ``t`` below ``t_w``, ``h_f`` at least
+``d_c + max_se`` and ``max_time / dt`` at most ``MAX_TICKS``; a parameter
+that breaks one of these is reported on its line.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ CONTROLLER_KINDS = ("road", "crossing", "helper")
 CAR_FIELDS = ("path", "pos", "speed", "size", "braking", "node", "heading",
               "res", "clm", "cres", "cclm", "controllers", "monitor")
 MAX_TICKS = 1_000_000  # the bundled scenarios need at most 2,400
-POSITIVE_PARAMS = ("h_b", "b_max", "max_time", "patience")  # checked on their line
 
 
 class ScenarioError(ValueError):
@@ -199,16 +201,24 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
+    given = {}  # parameter -> the line that gives it
+
     def param(key, default):
         if key not in raw_params:
             return default
         line_no, value = raw_params.pop(key)
+        given[key] = line_no
         try:
             out = float(value)
         except ValueError:
             _err(line_no, f"bad value for {key}: {value!r}")
-        return _checked(line_no, out, value, key,
-                        "positive" if key in POSITIVE_PARAMS else None)
+        return _checked(line_no, out, value, key, "positive")
+
+    def relate(holds, keys, message):
+        # the defaults satisfy every relation, so a broken one names a
+        # parameter the file gives; blame the first of ``keys`` it gives
+        if not holds:
+            _err(next(given[k] for k in keys if k in given), message)
 
     params = ProtocolParams(**{f.name: param(f.name, f.default)
                                for f in dataclass_fields(ProtocolParams)})
@@ -227,6 +237,13 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     )
     for key, (line_no, _) in raw_params.items():  # read by no param() above
         _err(line_no, f"unknown parameter {key!r}")
+    relate(params.t < params.t_w, ("t", "t_w"),
+           "helper reply bound t must be smaller than t_w")
+    relate(scenario.h_f >= params.d_c_prime, ("h_f",),
+           "h_f must cover d_c + max_se")
+    relate(scenario.max_time / scenario.dt <= MAX_TICKS, ("dt", "max_time"),
+           f"dt = {scenario.dt!r} is too small for max_time = {scenario.max_time!r}: "
+           f"max_time / dt exceeds {MAX_TICKS:,} ticks")
 
     for line_no, line in car_lines:
         tokens = line.split()
@@ -305,16 +322,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    problems = list(scenario.params.validate())
-    if scenario.dt <= 0:
-        problems.append("dt must be positive")
-    elif scenario.max_time / scenario.dt > MAX_TICKS:
-        problems.append(f"dt = {scenario.dt!r} is too small: max_time / dt "
-                        f"exceeds {MAX_TICKS:,} ticks")
-    if scenario.h_f < scenario.params.d_c_prime:
-        problems.append("h_f must cover d_c + max_se")
     ts = scenario.snapshot()
-    problems.extend(sanity_check(ts))
+    problems = sanity_check(ts)
     for cid in ts.car_ids():
         try:
             safety_envelope(ts, cid)

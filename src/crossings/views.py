@@ -3,10 +3,13 @@
 A view flattens the bent geometry at an intersection into two parallel
 virtual lanes sharing one coordinate axis (ego-path coordinates: 0 is the
 start of the node the ego rear is on).  The multi-view bundles one such
-window per approach road of the upcoming intersection, so that cars hidden
-from one window appear in a sibling window.  Here alone live what each car
-perceives (``node_occupancy``), the broad phase and the rules on occupancy
-runs (from ``merge_runs`` on); ``formulas`` and ``logic`` decide predicates.
+window per approach road of the upcoming intersection but the one the ego
+path enters it from, so that cars hidden from one window appear in a
+sibling window; view 0 runs toward the road the path leaves it by.  Here
+alone live what each car perceives (``node_occupancy``), its projection on
+a view (``car_fragment``: merged runs per lane and kind), the broad phase
+and the rules on occupancy runs (from ``merge_runs`` on); ``formulas`` and
+``logic`` decide predicates.
 """
 
 from __future__ import annotations
@@ -143,10 +146,10 @@ def virtual_lanes(topo: Topology, ts: TrafficSnapshot, e: str,
 
     One pair per approach road of the relevant intersection (the one ahead
     within h_f, the one under the car, or the one just traversed within
-    h_b), u-turn direction excluded.  With no crossing in reach the result
-    is the single pair of ego's own road segment.  The forward lane always
-    begins at ego's anchor lane; the backward lane is aligned with it at the
-    crossing entry boundary.
+    h_b), but the road the path enters it from (the u-turn direction).  With
+    no crossing in reach the result is the single pair of ego's own road
+    segment.  The forward lane always begins at ego's anchor lane; the
+    backward lane is aligned with it at the anchor lane's end.
     """
     if e not in ts.cars:
         raise KeyError(f"unknown car {e}")
@@ -227,18 +230,14 @@ def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
     anchor = path[anchor_idx]
     anchor_start = -sum(net.weights[path[j]] for j in range(anchor_idx, curr))
     partner = net.lane_partner(anchor)
-    r_curr = topo.segment_of[anchor]
-    approaches = sorted(topo.pre_segments(cr_id) - {r_curr.id})
-
-    own_exit = None
-    for j in range(anchor_idx + 1, len(path)):
-        n = path[j]
-        if n.is_lane and topo.segment_of[n].id in approaches:
-            own_exit = topo.segment_of[n].id
-            break
-    if own_exit in approaches:
-        approaches.remove(own_exit)
-        approaches.insert(0, own_exit)
+    entry = anchor_idx  # the lane from which the path enters the crossing
+    while path[entry + 1].is_lane:
+        entry += 1
+    approaches = sorted(topo.pre_segments(cr_id) - {topo.segment_of[path[entry]].id})
+    # the road the path leaves by comes first, the others by id
+    own_exit = next((topo.segment_of[n].id for n in path[entry + 1:]
+                     if n.is_lane and topo.segment_of[n].id in approaches), None)
+    approaches.sort(key=lambda r: r != own_exit)
 
     seg_lanes = {seg.id: seg.lanes for seg in topo.segments}
     entry_boundary = anchor_start + net.weights[anchor]
@@ -325,27 +324,7 @@ def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
     return reserved, claimed
 
 
-class CarFragment:
-    """One car's projected occupancy on a view: raw interval tuples
-    (lane, lo, hi, kind, crossing) plus per-lane merged runs per kind."""
-
-    __slots__ = ("intervals", "merged")
-
-    def __init__(self, intervals):
-        self.intervals = intervals
-        self.merged = merged = {}  # (lane, kind) -> runs
-        for lane_idx, lo, hi, kind, _crossing in intervals:
-            runs = merged.get((lane_idx, kind))
-            if runs is None:
-                merged[lane_idx, kind] = [(lo, hi)]
-            else:
-                runs.append((lo, hi))
-        for key, runs in merged.items():
-            if len(runs) > 1:
-                merged[key] = merge_runs(runs)
-
-
-_EMPTY = CarFragment(())  # shared by every car with nothing on a view
+_EMPTY: dict = {}  # shared by every car with nothing on a view; read only
 
 
 def merge_runs(intervals):
@@ -417,10 +396,10 @@ def occupied(fragments, lane: int) -> list:
 
 
 def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
-                 ground_truth: bool = False) -> CarFragment:
-    """One car's projected occupancy on a view, clipped to X, kept in the
-    snapshot's per-car store; a car with nothing left on the view after
-    clipping gets the one shared empty fragment.
+                 ground_truth: bool = False) -> dict:
+    """One car's projected occupancy on a view, clipped to X: its merged
+    runs per (lane, kind), kept in the snapshot's per-car store; a car with
+    nothing left on the view after clipping gets the one shared empty dict.
 
     Reserved space is the car's extent: the full safety envelope for the
     view owner, sensor-perceived physical size for the others.  The owner
@@ -441,7 +420,7 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     reserved_nodes, claimed_nodes = node_occupancy(ts, cid, view.owner, ground_truth)
     a, b = view.extent
     placements = ((0, lanes[0].placements), (1, lanes[1].placements))
-    out = []
+    fragment = {}  # (lane, kind) -> runs
     for kind, nodes in ((Kind.RESERVED, reserved_nodes), (Kind.CLAIMED, claimed_nodes)):
         for node, lo_local, hi_local in nodes:
             crossing = node.is_crossing
@@ -455,15 +434,18 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
                         lo, hi = span.lo + lo_local, span.lo + hi_local
                     lo, hi = max(lo, a), min(hi, b)
                     if hi > lo:
-                        out.append((lane_idx, lo, hi, kind, crossing))
-    fragment = memo[key] = CarFragment(out) if out else _EMPTY
+                        fragment.setdefault((lane_idx, kind), []).append((lo, hi))
+    for runs_key, runs in fragment.items():
+        if len(runs) > 1:
+            fragment[runs_key] = merge_runs(runs)
+    fragment = memo[key] = fragment or _EMPTY
     return fragment
 
 
 def car_runs(ts: TrafficSnapshot, view: View, car: str, lane: int,
              kind: Kind = Kind.RESERVED) -> list:
     """One car's merged runs of one kind on one lane of the view."""
-    return car_fragment(ts, car, view).merged.get((lane, kind), [])
+    return car_fragment(ts, car, view).get((lane, kind), [])
 
 
 # Broad phase.  _lay_forward and _lay_backward lay distinct nodes end to end
@@ -508,7 +490,7 @@ def near_fragments(ts: TrafficSnapshot, view: View, stretches) -> list:
     near = [(s.node, 0.0, ts.net.weights[s.node])
             for lane, lo, hi in stretches for s in view.lanes[lane].spans
             if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
-    return [car_fragment(ts, c, view).merged
+    return [car_fragment(ts, c, view)
             for c in cars_meeting(ts, near, view.owner, claims=True)]
 
 

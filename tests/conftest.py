@@ -23,6 +23,58 @@ def net(topo):
     return topo.net
 
 
+# lone-left-turn's crossing with road r0 cut to 30 m and road r4 before it:
+# lane 8 feeds lane 7, lane 6 feeds lane 9.  E is two lanes before the
+# crossing, D two lanes after it.
+TWO_LANES_BEFORE_THE_CROSSING = """
+[network]
+lane 0 150
+lane 1 150
+lane 2 150
+lane 3 150
+lane 4 150
+lane 5 150
+lane 6 30
+lane 7 30
+lane 8 150
+lane 9 150
+cs c0 5
+cs c1 5
+cs c2 5
+cs c3 5
+pair 6 7 r0
+pair 0 1 r1
+pair 2 3 r2
+pair 4 5 r3
+pair 8 9 r4
+edge 8 7
+edge 6 9
+edge 7 c0
+edge 1 c1
+edge 3 c2
+edge 5 c3
+edge c0 0
+edge c1 2
+edge c2 4
+edge c3 6
+edge c0 c1
+edge c1 c2
+edge c2 c3
+edge c3 c0
+intersection cr = c0 c1 c2 c3
+[cars]
+car E path=8,7,c0,c1,c2,4 pos=131 speed=0 size=4
+car D path=5,c3,6,9 node=9 pos=5 speed=0 size=4
+[params]
+max_time = 12
+"""
+
+
+@pytest.fixture
+def two_lanes_back():
+    return parse_scenario(TWO_LANES_BEFORE_THE_CROSSING, name="two-lanes-back")
+
+
 @pytest.fixture
 def straight_road():
     """A single two-lane road, no crossing: lane 0 forwards, lane 1 back."""

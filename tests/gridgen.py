@@ -51,10 +51,10 @@ def q(rng: random.Random, lo: float, hi: float) -> float:
 
 def random_scene(rng: random.Random, max_cars: int = 5, off_view: int = 0):
     """A snapshot around the demo crossing plus one of the ego's views;
-    drawn again until at least ``off_view`` cars have no fragment on it."""
+    drawn again until at least ``off_view`` cars have no runs on it."""
     while True:
         ts, view = _scene(rng, max_cars)
-        if not off_view or sum(not car_fragment(ts, c, view).intervals
+        if not off_view or sum(not car_fragment(ts, c, view)
                                for c in ts.cars) >= off_view:
             return ts, view
 

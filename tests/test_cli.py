@@ -125,7 +125,17 @@ class TestValidate:
         ("size=4", "size=4 braking=-30", 36, "braking must be non-negative"),
         ("max_time = 12", "max_time = -1", 39, "max_time must be positive"),
         ("[params]\n", "[params]\npatience = -1\n", 38, "patience must be positive"),
-        # scenario rules; those checked on the whole scenario name no line
+        *(("[params]\n", f"[params]\n{key} = 0\n", 38, f"{key} must be positive, got '0'")
+          for key in ("d_c", "max_se", "t_o", "t_w", "t", "t_cr")),
+        ("[params]\n", "[params]\nmax_se = -5\n", 38, "max_se must be positive, got '-5'"),
+        ("dt = 0.05", "dt = 0", 38, "dt must be positive"),
+        ("[params]\n", "[params]\nh_f = 10\n", 38, "h_f must cover d_c + max_se"),
+        ("[params]\n", "[params]\nt = 0.5\n", 38,
+         "helper reply bound t must be smaller than t_w"),
+        ("[params]\n", "[params]\nt_w = 0.2\n", 38,
+         "helper reply bound t must be smaller than t_w"),
+        ("dt = 0.05", "dt = 1e-5", 38, "dt = 1e-05 is too small for max_time = 12.0"),
+        # scenario rules; those checked on the whole snapshot name no line
         ("[params]\n", "[parms]\n", 37, "unknown section [parms]"),
         ("car E path", "cat E path", 36, "bad car line 'cat E path=7,c0,c1,c2,4 "),
         ("max_time = 12", "max_time 12", 39, "bad parameter line 'max_time 12'"),
@@ -139,13 +149,8 @@ class TestValidate:
          "car E: path adjacency c0 -> c2 is not a directed edge"),
         ("size=4", "size=4 node=0", 36, "car E: node 0 not on its path"),
         ("size=4", "size=4 controllers=road,pilot", 36, "unknown controller kind 'pilot'"),
-        ("dt = 0.05", "dt = 0", None, "dt must be positive"),
-        ("[params]\n", "[params]\nh_f = 10\n", None, "h_f must cover d_c + max_se"),
         ("path=7,c0,c1,c2,4 pos=100", "path=4 pos=148", None,
          "E: initial envelope runs past its path"),
-        ("[params]\n", "[params]\nt_cr = 0\n", None, "t_cr must be positive"),
-        ("[params]\n", "[params]\nt = 0.5\n", None,
-         "helper reply bound t must be smaller than t_w"),
         # network rules
         ("pair 6 7 r0", "pair 6 9 r0", None, "undirected edge (6,9) references unknown node"),
         ("edge 7 c0", "edge 7 c9", None, "directed edge (7,c9) references unknown node"),

@@ -35,7 +35,7 @@ def path(*names):
 
 def env_for(topo, ts, inst):
     mv = build_multiview(topo, ts, inst.car, h_b=50.0, h_f=150.0)
-    return GuardEnv(ts=ts, mv=mv, clocks=inst.clocks, data=inst.data,
+    return GuardEnv(ts=ts, mv=mv, x=inst.x, data=inst.data,
                     params=PARAMS, car=inst.car)
 
 
@@ -64,13 +64,13 @@ class TestCrossingController:
     def test_claim_fires_and_resets_clock(self, topo, approaching):
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q1"
-        inst.clocks["x"] = 3.0
+        inst.x = 3.0
         env = env_for(topo, approaching, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q1", "q2")
-        result = inst.fire(t, env)
-        assert [a.kind for a in result.actions] == [ActionKind.CLAIM_CROSSING]
-        assert inst.clocks["x"] == 0.0
+        _, actions = inst.fire(t, env)
+        assert [a.kind for a in actions] == [ActionKind.CLAIM_CROSSING]
+        assert inst.x == 0.0
 
     def test_reserves_alone_without_helpers(self, topo, approaching):
         ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
@@ -78,7 +78,7 @@ class TestCrossingController:
         inst.state = "q2"
         t = inst.enabled_transition(env_for(topo, ts, inst))
         assert (t.source, t.target) == ("q2", "q5")
-        assert [a.label for a in t.actions] == ["rc"]
+        assert t.actions == (ActionKind.RESERVE_CROSSING,)
 
     def test_withdraws_on_potential_collision(self, topo):
         shared = frozenset({cs(0), cs(1)})
@@ -95,7 +95,7 @@ class TestCrossingController:
         inst.state = "q2"
         t = inst.enabled_transition(env_for(topo, ts, inst))
         assert (t.source, t.target) == ("q2", "q1")
-        assert [a.label for a in t.actions] == ["wd cc"]
+        assert t.actions == (ActionKind.WITHDRAW_CLAIM_CROSSING,)
 
     def test_asks_helpers_when_one_exists(self, topo):
         ts = TrafficSnapshot(
@@ -111,9 +111,9 @@ class TestCrossingController:
         env = env_for(topo, ts, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q3")
-        result = inst.fire(t, env)
-        assert len(result.messages) == 1
-        msg = result.messages[0]
+        messages, _ = inst.fire(t, env)
+        assert len(messages) == 1
+        msg = messages[0]
         assert msg.channel == "cross"
         assert msg.payload == ("E", frozenset({cs(0), cs(1), cs(2)}))
         assert inst.data["H"] == frozenset()
@@ -140,25 +140,25 @@ class TestCrossingController:
         assert hit is not None
         t, bindings = hit
         assert (t.source, t.target) == ("q3", "q1")
-        result = inst.fire(t, env.with_bindings(bindings))
-        assert [a.kind for a in result.actions] == [
+        messages, actions = inst.fire(t, env.with_bindings(bindings))
+        assert [a.kind for a in actions] == [
             ActionKind.WITHDRAW_CLAIM_CROSSING
         ]
-        assert [m.channel for m in result.messages] == ["finished"]
+        assert [m.channel for m in messages] == ["finished"]
 
     def test_failed_cycle_backs_off_one_answer_window(self, topo, approaching):
         ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q3"
-        inst.clocks["x"] = 0.2
+        inst.x = 0.2
         env = env_for(topo, ts, inst)
         t, bindings = inst.matching_input(Message("no", ("E",), "A"), env)
         inst.fire(t, env.with_bindings(bindings))
-        assert (inst.state, inst.clocks["x"], inst.data["failed"]) == ("q1", 0.0, True)
+        assert (inst.state, inst.x, inst.data["failed"]) == ("q1", 0.0, True)
         inst.fired_this_tick.clear()
-        inst.clocks["x"] = PARAMS.t_w - 0.05
+        inst.x = PARAMS.t_w - 0.05
         assert inst.enabled_transition(env_for(topo, approaching, inst)) is None
-        inst.clocks["x"] = PARAMS.t_w
+        inst.x = PARAMS.t_w
         t = inst.enabled_transition(env_for(topo, approaching, inst))
         assert (t.source, t.target) == ("q1", "q2")
 
@@ -172,9 +172,9 @@ class TestCrossingController:
         ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q2"
-        inst.clocks["x"] = PARAMS.t_o - 0.1
+        inst.x = PARAMS.t_o - 0.1
         assert inst.invariant_ok(env_for(topo, ts, inst))
-        inst.clocks["x"] = PARAMS.t_o + 0.1
+        inst.x = PARAMS.t_o + 0.1
         assert not inst.invariant_ok(env_for(topo, ts, inst))
 
     def test_q4_invariant_needs_an_active_crossing_reservation(self, topo):
@@ -185,7 +185,7 @@ class TestCrossingController:
         )
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q4"
-        inst.clocks["x"] = 1.0
+        inst.x = 1.0
         assert inst.invariant_ok(env_for(topo, with_res, inst))
         dropped = TrafficSnapshot(
             {"E": make_car(path("7", "c0", "c1", "c2", "4"), 120.0, speed=10.0)},
@@ -202,14 +202,37 @@ class TestCrossingController:
         )
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q5"
-        inst.clocks["x"] = PARAMS.t_cr
+        inst.x = PARAMS.t_cr
         env = env_for(topo, ts, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q5", "q0")
-        result = inst.fire(t, env)
-        assert [a.kind for a in result.actions] == [
+        _, actions = inst.fire(t, env)
+        assert [a.kind for a in actions] == [
             ActionKind.WITHDRAW_RESERVE_CROSSING
         ]
+
+    def test_finish_waits_for_the_rear_to_leave_the_crossing(self, topo):
+        # q4 -> q0 withdraws the crossing reservation: its guard holds at
+        # x = t_cr, but wd rc is not admissible while the rear is on c2
+        cres = frozenset({cs(0), cs(1), cs(2)})
+        inst = ControllerInstance(crossing_controller(PARAMS), "E")
+        inst.state = "q4"
+        inst.x = PARAMS.t_cr
+        on_cell = TrafficSnapshot(
+            {"E": make_car(path("7", "c0", "c1", "c2", "4"), 2.0, curr=3,
+                           speed=10.0, cres=cres)},
+            topo.net,
+        )
+        env = env_for(topo, on_cell, inst)
+        (finish,) = inst.defn.edges("q4")
+        assert finish.guard.holds(env)
+        assert inst.enabled_transition(env) is None
+        on_lane = TrafficSnapshot(
+            {"E": make_car(path("7", "c0", "c1", "c2", "4"), 2.0, curr=4,
+                           speed=10.0, res=frozenset({lane(4)}), cres=cres)},
+            topo.net,
+        )
+        assert inst.enabled_transition(env_for(topo, on_lane, inst)) is finish
 
 
 FAILURE_EDGES = {
@@ -277,7 +300,7 @@ class TestHelperController:
         inst.fire(t, env.with_bindings(bindings))
         assert inst.data["h"] == "E"
         assert inst.data["cs_h"] == frozenset({cs(0), cs(1), cs(2)})
-        assert inst.clocks["x"] == 0.0
+        assert inst.x == 0.0
 
     def test_conflicting_request_goes_to_the_decline_state(self, topo):
         ts = TrafficSnapshot(
@@ -299,8 +322,8 @@ class TestHelperController:
         # the decline state is urgent: its exit needs no guard and emits no!d
         out = inst.enabled_transition(env_for(topo, ts, inst))
         assert (out.source, out.target) == ("q1", "q0")
-        result = inst.fire(out, env_for(topo, ts, inst))
-        assert [(m.channel, m.payload) for m in result.messages] == [("no", ("E",))]
+        messages, _ = inst.fire(out, env_for(topo, ts, inst))
+        assert [(m.channel, m.payload) for m in messages] == [("no", ("E",))]
 
     def test_commits_with_yes_within_t(self, topo, helper_scene):
         inst = ControllerInstance(helper_controller(PARAMS), "D")
@@ -309,8 +332,8 @@ class TestHelperController:
         env = env_for(topo, helper_scene, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q4")
-        result = inst.fire(t, env)
-        assert [(m.channel, m.payload) for m in result.messages] == [
+        messages, _ = inst.fire(t, env)
+        assert [(m.channel, m.payload) for m in messages] == [
             ("yes", ("E", "D"))
         ]
 
@@ -318,12 +341,12 @@ class TestHelperController:
         inst = ControllerInstance(helper_controller(PARAMS), "D")
         inst.state = "q2"
         inst.data.update(h="E", cs_h=frozenset({cs(0), cs(1), cs(2)}))
-        inst.clocks["x"] = PARAMS.t
+        inst.x = PARAMS.t
         env = env_for(topo, helper_scene, inst)
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q2", "q0")
-        result = inst.fire(t, env)
-        assert [(m.channel, m.payload) for m in result.messages] == [("no", ("E",))]
+        messages, _ = inst.fire(t, env)
+        assert [(m.channel, m.payload) for m in messages] == [("no", ("E",))]
 
     def test_third_party_conflict_is_declined_while_helping(self, topo, helper_scene):
         inst = ControllerInstance(helper_controller(PARAMS), "D")
@@ -335,8 +358,8 @@ class TestHelperController:
         assert (t.source, t.target) == ("q4", "q5")
         inst.fire(t, env.with_bindings(bindings))
         out = inst.enabled_transition(env_for(topo, helper_scene, inst))
-        result = inst.fire(out, env_for(topo, helper_scene, inst))
-        assert [(m.channel, m.payload) for m in result.messages] == [("no", ("F",))]
+        messages, _ = inst.fire(out, env_for(topo, helper_scene, inst))
+        assert [(m.channel, m.payload) for m in messages] == [("no", ("F",))]
         assert inst.state == "q4"
         assert inst.data["h"] == "E"
 
@@ -347,8 +370,8 @@ class TestHelperController:
         env = env_for(topo, helper_scene, inst)
         t, bindings = inst.matching_input(Message("finished", ("E",), "E"), env)
         assert (t.source, t.target) == ("q4", "q0")
-        result = inst.fire(t, env.with_bindings(bindings))
-        assert result.messages == []
+        messages, _ = inst.fire(t, env.with_bindings(bindings))
+        assert messages == []
 
     def test_ignores_requests_it_cannot_judge(self, topo):
         # far away, not on the crossing, request disjoint: neither accept nor
@@ -479,8 +502,8 @@ class TestRoadStub:
         env = env_for(topo, ts, inst)
         t2 = inst.enabled_transition(env)
         assert (t2.source, t2.target) == ("hold", "hold")
-        result = inst.fire(t2, env)
-        assert [a.kind for a in result.actions] == [ActionKind.WITHDRAW_CLAIM_LANE]
+        _, actions = inst.fire(t2, env)
+        assert [a.kind for a in actions] == [ActionKind.WITHDRAW_CLAIM_LANE]
 
     def test_idle_without_claims_far_from_crossings(self, topo):
         ts = TrafficSnapshot(

@@ -269,8 +269,7 @@ class TestBehaviour:
 
 def _brute_col(ts, mv, ego, ground_truth):
     for idx, view in enumerate(mv.views):
-        merged = {c: car_fragment(ts, c, view, ground_truth).merged
-                  for c in sorted(ts.cars)}
+        merged = {c: car_fragment(ts, c, view, ground_truth) for c in sorted(ts.cars)}
         for lane_idx in (0, 1):
             mine = merged[ego].get((lane_idx, Kind.RESERVED))
             if not mine:

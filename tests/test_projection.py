@@ -2,7 +2,7 @@
 
 The reference below lays every car's node-local occupancy onto every span
 of both virtual lanes the slow way: no placement index, no shared empty
-fragment, no memo.  It is checked for the view owner, for the other cars
+dict, no memo.  It is checked for the view owner, for the other cars
 and in ground-truth mode, on every view (and its 180-degree twist) of every
 car at every 5th tick of sweep seeds 0-9, and on the `gridgen` scenes.
 """
@@ -45,8 +45,8 @@ def node_entries(ts, cid, own, ground_truth):
 
 
 def brute_projection(ts, cid, view, ground_truth, seen):
-    """(sorted intervals, {(lane, kind): merged runs}) of one car on a view;
-    adds the (crossing, reversed, kind) case of each interval to ``seen``."""
+    """{(lane, kind): merged runs} of one car on a view; adds the (crossing,
+    reversed, kind) case of each projected interval to ``seen``."""
     own = not ground_truth and cid == view.owner
     a, b = view.extent
     intervals = []
@@ -63,16 +63,16 @@ def brute_projection(ts, cid, view, ground_truth, seen):
                     lo, hi = span.lo + lo, span.lo + hi
                 lo, hi = max(lo, a), min(hi, b)
                 if hi > lo:
-                    intervals.append((lane_idx, lo, hi, kind, node.is_crossing))
+                    intervals.append((lane_idx, kind, lo, hi))
                     seen.add((node.is_crossing, span.reversed, kind))
     merged = {}
-    for lane_idx, lo, hi, kind, _ in sorted(intervals):
+    for lane_idx, kind, lo, hi in sorted(intervals):
         runs = merged.setdefault((lane_idx, kind), [])
         if runs and lo <= runs[-1][1] + EPS:
             runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
         else:
             runs.append((lo, hi))
-    return sorted(intervals), merged
+    return merged
 
 
 def check_view(ts, view, seen) -> None:
@@ -80,11 +80,9 @@ def check_view(ts, view, seen) -> None:
     for v in (view, twist(view)):
         for cid in sorted(ts.cars):
             for ground_truth in (False, True):
-                fragment = car_fragment(ts, cid, v, ground_truth)
-                intervals, merged = brute_projection(ts, cid, v, ground_truth, seen)
-                where = (cid, v.owner, v.target, ground_truth)
-                assert sorted(fragment.intervals) == intervals, where
-                assert fragment.merged == merged, where
+                assert car_fragment(ts, cid, v, ground_truth) == \
+                    brute_projection(ts, cid, v, ground_truth, seen), \
+                    (cid, v.owner, v.target, ground_truth)
 
 
 def test_sweep_snapshots_match_brute_force():

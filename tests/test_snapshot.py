@@ -231,6 +231,18 @@ class TestActions:
         out = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
         assert out.cars["E"].cclm == frozenset({cs(0), cs(1), cs(2)})
 
+    def test_claim_crossing_two_lanes_back(self, two_lanes_back):
+        # E's path runs 8, 7, then the crossing: the claim skips lane 7
+        ts = two_lanes_back.snapshot()
+        out = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+        assert out.cars["E"].cclm == frozenset({cs(0), cs(1), cs(2)})
+
+    def test_claim_crossing_past_the_last_one_is_refused(self, two_lanes_back):
+        # D's path ends on lane 9, two lanes after c3
+        ts = two_lanes_back.snapshot()
+        assert can_apply(ts, "D", Action(ActionKind.CLAIM_CROSSING)) == \
+            "no upcoming intersection in path"
+
     def test_reserve_with_empty_claim_is_a_noop(self, make_snapshot):
         ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0))
         out = apply_action(ts, "E", Action(ActionKind.RESERVE_CROSSING))

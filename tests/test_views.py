@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
+from crossings.formulas import check_ca
 from crossings.harness import run
 from crossings.network import NodeId, Topology, UrbanRoadNetwork, cs, lane
 from crossings.scenario import parse_scenario
@@ -12,6 +13,7 @@ from crossings.views import (
     Kind,
     build_multiview,
     car_fragment,
+    overlap_pos,
     twist,
     virtual_lanes,
 )
@@ -29,15 +31,21 @@ class Occ(NamedTuple):
     hi: float
     car: str
     kind: Kind
-    crossing: bool
 
 
 def project_occupancy(ts, view, ground_truth=False):
-    """Every car's projected intervals on the view, in car id order."""
-    return [Occ(lane_idx, lo, hi, cid, kind, crossing)
+    """Every car's projected runs on the view, in car id order."""
+    return [Occ(lane_idx, lo, hi, cid, kind)
             for cid in sorted(ts.cars)
-            for lane_idx, lo, hi, kind, crossing
-            in car_fragment(ts, cid, view, ground_truth).intervals]
+            for (lane_idx, kind), runs
+            in sorted(car_fragment(ts, cid, view, ground_truth).items())
+            for lo, hi in runs]
+
+
+def on_crossing(view, o):
+    """Does the run reach into the crossing cells of its lane?"""
+    span = view.crossing_span(o.lane)
+    return span is not None and overlap_pos([(o.lo, o.hi)], [span])
 
 
 @pytest.fixture
@@ -134,7 +142,7 @@ class TestVirtualLanes:
         ts = ego_ts.with_car("B", make_car(path("1", "c1", "2"), 100.0))
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
         idx, view = next((i, v) for i, v in enumerate(mv.views)
-                         if car_fragment(ts, "B", v).intervals)
+                         if car_fragment(ts, "B", v))
         theirs = car_fragment(ts, "B", view)
         mine = car_fragment(ts, "E", view)
         acted = ts.with_car("E", replace(ts.cars["E"], cclm=frozenset({cs(0)})))
@@ -142,7 +150,7 @@ class TestVirtualLanes:
         assert again is not mv
         assert again.views[idx].lanes == view.lanes
         assert car_fragment(acted, "B", again.views[idx]) is theirs
-        assert car_fragment(acted, "E", again.views[idx]).merged != mine.merged
+        assert car_fragment(acted, "E", again.views[idx]) != mine
 
     def test_multiview_shares_extent(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=50.0, h_f=150.0)
@@ -189,6 +197,36 @@ def _ring_intersection(n_roads, rng):
     return topo, entry
 
 
+class TestTwoLanesBeforeTheCrossing:
+    """Cars whose paths run over two lanes in series next to the crossing."""
+
+    def test_views_run_from_the_entry_lane_not_the_anchor(self, two_lanes_back):
+        # the entry road r0 is the u-turn direction, so view 0 targets the
+        # exit road r3 and crosses the intersection, as from lane 7 itself
+        ts = two_lanes_back.snapshot()
+        mv = build_multiview(two_lanes_back.topo, ts, "E", 50.0, 150.0)
+        assert [v.target for v in mv.views] == ["r3", "r1", "r2"]
+        view = mv.views[0]
+        assert view.lanes[0].nodes == path("8", "7", "c0", "c1", "c2", "4")
+        assert view.lanes[1].nodes == path("9", "6", "c3", "5")
+        assert view.crossing_span(0) == (180.0, 195.0)
+        assert view.crossing_span(1) == (180.0, 185.0)
+
+    def test_crossing_ahead_two_lanes_back(self, two_lanes_back):
+        # the envelope [131, 135] ends 15 m + 30 m before c0, within d_c = 60
+        ts = two_lanes_back.snapshot()
+        mv = build_multiview(two_lanes_back.topo, ts, "E", 50.0, 150.0)
+        assert check_ca(ts, mv, "E", two_lanes_back.params)
+
+    def test_crossing_behind_two_lanes_on(self, two_lanes_back):
+        # D left c3 over lane 6 and is 5 m into lane 9: 35 m past the
+        # crossing, within h_b, so its views still run through it
+        ts = two_lanes_back.snapshot()
+        mv = build_multiview(two_lanes_back.topo, ts, "D", 50.0, 150.0)
+        assert [v.target for v in mv.views] == ["r0", "r1", "r2"]
+        assert all(v.lanes[0].nodes[:2] == path("5", "c3") for v in mv.views)
+
+
 class TestProjection:
     def test_reservation_free_crossing_layout(self, topo, ego_ts):
         # ego reservation, then free lane, then free crossing cells on lane 0
@@ -220,9 +258,9 @@ class TestProjection:
         ts = TrafficSnapshot(cars, topo.net)
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
         b_sensor = [o for o in occ_for(ts, mv.views[0], "B") if o.lane == 0]
-        assert [(o.lo, o.hi) for o in b_sensor[:2]] == [(148.0, 150.0), (150.0, 155.0)]
-        assert b_sensor[0].crossing is False
-        assert b_sensor[1].crossing is True
+        # lane 7's last 2 m and the whole of c0, joined into one run
+        assert [(o.lo, o.hi) for o in b_sensor] == [(148.0, 155.0)]
+        assert mv.views[0].crossing_span(0)[0] == 150.0
 
     def test_opposite_lane_reads_mirrored(self, topo):
         cars = {
@@ -248,8 +286,7 @@ class TestProjection:
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
         claimed = [o for o in occ_for(ts, mv.views[0], "E")
                    if o.kind is Kind.CLAIMED and o.lane == 0]
-        assert [(o.lo, o.hi) for o in claimed] == [(150.0, 155.0), (155.0, 160.0),
-                                                   (160.0, 165.0)]
+        assert [(o.lo, o.hi) for o in claimed] == [(150.0, 165.0)]
 
     def test_intervals_clip_to_extent(self, topo, ego_ts):
         mv = build_multiview(topo, ego_ts, "E", h_b=10.0, h_f=40.0)
@@ -293,9 +330,11 @@ class TestProjection:
         sensor = occ_for(ts, mv.views[0], "D")
         truth = [o for o in project_occupancy(ts, mv.views[0], ground_truth=True)
                  if o.car == "D"]
-        assert not any(o.crossing for o in sensor)
+        view = mv.views[0]
+        assert not any(on_crossing(view, o) for o in sensor)
         assert sum(o.hi - o.lo for o in sensor) == pytest.approx(4.0)
-        assert any(o.crossing and (o.lo, o.hi) == (150.0, 155.0) for o in truth)
+        span = view.crossing_span(1)
+        assert any(o.lane == 1 and o.lo <= span[0] and o.hi >= span[1] for o in truth)
 
     def test_ground_truth_ignores_unbacked_reservations(self, topo):
         # a reservation with no envelope behind it is bookkeeping, not space
@@ -308,7 +347,7 @@ class TestProjection:
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
         truth = [o for o in project_occupancy(ts, mv.views[0], ground_truth=True)
                  if o.car == "D"]
-        assert not any(o.crossing for o in truth)
+        assert not any(on_crossing(mv.views[0], o) for o in truth)
 
 
 def occ_for(ts, view, car):
@@ -350,11 +389,11 @@ class TestTwist:
         # oracle: pointwise mirror of the plain projection
         expect = sorted(
             (1 - o.lane, round(total - o.hi, 9), round(total - o.lo, 9), o.car,
-             o.kind.value, o.crossing)
+             o.kind.value)
             for o in plain
         )
         got = sorted(
-            (o.lane, round(o.lo, 9), round(o.hi, 9), o.car, o.kind.value, o.crossing)
+            (o.lane, round(o.lo, 9), round(o.hi, 9), o.car, o.kind.value)
             for o in flipped
         )
         assert got == expect
