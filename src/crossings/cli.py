@@ -39,8 +39,8 @@ def cmd_run(args) -> int:
     if args.trace:
         harness.write_trace(events, args.trace)
     if verdict.first_violation:
-        when, cars, view = verdict.first_violation
-        print(f"unsafe: {cars[0]} and {cars[1]} overlap in view {view} at t={when:.3f}")
+        when, cars, node = verdict.first_violation
+        print(f"unsafe: {cars[0]} and {cars[1]} overlap on {node} at t={when:.3f}")
     else:
         print("safe")
     if verdict.deadlocked_cars:

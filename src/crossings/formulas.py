@@ -3,14 +3,15 @@
 The AST builders give the exact logic-level formulation of every check the
 controllers use (reachable from concrete syntax as ``@ca``, ``@pc(c)``, ...).
 Beside them live the direct checks, the one definition of each predicate the
-controllers and the safety monitor decide on every tick (``check_phinv``
-included): the ``geom_*`` functions and the multi-view checks built on them
-decide the predicates on projected occupancy runs by the run rules in
-``views``, and project only the cars that can change the verdict: those
-whose node-local occupancy meets the ego's, or the stretch in question, on a
-shared network node (the broad phase in ``views``).  Only ``ph_cars`` reads
-every car: it asks ``geom_ph`` of each on every view, and each of those
-reads that car's runs first.
+controllers decide on every tick (``check_phinv`` included): the ``geom_*``
+functions and the multi-view checks built on them decide the predicates on
+projected occupancy runs by the run rules in ``views``, and project only the
+cars that can change the verdict: those whose node-local occupancy meets
+the ego's, or the window in question, on a shared network node (the broad
+phase in ``views``); a free stretch is tested in place on the nodes under
+it (``views.stretch_occupied``).  Only ``ph_cars`` reads every car: it asks
+``geom_ph`` of each on every view, and each of those reads that car's runs
+first.  The monitor judges on the nodes (``views.collisions``).
 ``test_formulas`` pins both routes against each other on randomized
 snapshots and on scenes where the guards are true, and the narrowed checks
 against all-car scans.
@@ -53,11 +54,11 @@ from .views import (
     car_runs,
     cars_meeting,
     gaps,
-    intersects_open,
     near_fragments,
     node_occupancy,
     occupied,
     overlap_pos,
+    stretch_occupied,
 )
 
 
@@ -212,10 +213,8 @@ def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
             continue
         start = span[0]
         for lo, hi in car_runs(ts, view, ego, lane):
-            if hi >= start - EPS or start - hi >= d_c - EPS:
-                continue
-            near = near_fragments(ts, view, [(lane, hi, start)])
-            if not intersects_open(occupied(near, lane), hi, start):
+            if hi < start - EPS and start - hi < d_c - EPS and \
+                    not stretch_occupied(ts, view, lane, hi, start):
                 return True
     return False
 
@@ -265,12 +264,9 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
     for j1, j2 in theirs.get((1, Kind.RESERVED), []):
         if j1 <= t1 + EPS or j1 - t1 >= params.d_c_prime - EPS:
             continue
-        # one broad phase for the gap on lane 1 and the window on lane 0
         window = (max(p_lo, a), min(j2, b))
-        near = near_fragments(ts, view, [(1, t1, j1), (0, *window)])
-        if intersects_open(occupied(near, 1), t1, j1):
-            continue
-        if _one_lane_slice_ok(near, 0, p_lo, t1, j1, j2, *window):
+        if not stretch_occupied(ts, view, 1, t1, j1) and _one_lane_slice_ok(
+                near_fragments(ts, view, 0, *window), 0, p_lo, t1, j1, j2, *window):
             return True
     return False
 
@@ -285,7 +281,7 @@ def geom_ph(ts: TrafficSnapshot, view: View, ego: str, c: str,
 
 
 # ---------------------------------------------------------------------------
-# guard checks over a multi-view, used by the controllers and the monitor
+# guard checks over a multi-view, used by the controllers
 
 _MISS = object()  # a stored None is a verdict, not a miss
 
@@ -360,29 +356,26 @@ def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
 
 
 @_per_snapshot
-def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str,
-                ground_truth: bool = False) -> Optional[tuple]:
-    """First (car, view index) whose reservation overlaps the ego's.
+def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str) -> Optional[tuple]:
+    """First (car, view index) whose reservation overlaps the ego's, as the
+    ego perceives them.
 
-    Works straight off the per-car fragments: the monitor calls this for
-    every car on every tick, so no full evaluation context is assembled, and
-    only the rivals, the cars whose reservations meet the ego's on a node
-    (the broad phase in `views`), are projected at all.
+    Works straight off the per-car fragments: no full evaluation context is
+    assembled, and only the rivals, the cars whose reservations meet the
+    ego's on a node (the broad phase in `views`), are projected at all.
     """
-    reserved = node_occupancy(ts, ego, mv.owner, ground_truth)[0]
-    rivals = [c for c in cars_meeting(ts, reserved, mv.owner, ground_truth)
-              if c != ego]
+    reserved = node_occupancy(ts, ego, mv.owner)[0]
+    rivals = [c for c in cars_meeting(ts, reserved, mv.owner) if c != ego]
     if not rivals:
         return None
     for idx, view in enumerate(mv.views):
-        mine = car_fragment(ts, ego, view, ground_truth)
+        mine = car_fragment(ts, ego, view)
         for lane_idx in (0, 1):
             ego_runs = mine.get((lane_idx, Kind.RESERVED))
             if not ego_runs:
                 continue
             for c in rivals:
-                runs = car_fragment(ts, c, view, ground_truth).get(
-                    (lane_idx, Kind.RESERVED))
+                runs = car_fragment(ts, c, view).get((lane_idx, Kind.RESERVED))
                 if runs and overlap_pos(ego_runs, runs):
                     return (c, idx)
     return None

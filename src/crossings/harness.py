@@ -2,10 +2,11 @@
 
 Each tick runs: (1) a micro-step fixpoint in which controllers fire enabled
 transitions and broadcasts are delivered until nothing moves, (2) the
-safety monitor over ground-truth views, (3) every controller's state
-invariant, (4) one kinematic evolution step with every controller's clock
-advanced.  An action edge fires at most once per tick, and a tick whose
-micro-steps still move after ``FUEL`` passes reports a suspected livelock.
+safety monitor over every car's ground truth on the network nodes, (3)
+every controller's state invariant, (4) one kinematic evolution step with
+every controller's clock advanced.  An action edge fires at most once per
+tick, and a tick whose micro-steps still move after ``FUEL`` passes reports
+a suspected livelock.
 Everything is deterministic: cars, instances and messages are processed in a
 fixed order.
 
@@ -30,11 +31,10 @@ from .controllers import (
     road_controller_stub,
     standard_channels,
 )
-from .formulas import col_witness
 from .scenario import Scenario
 from .snapshot import apply_action
 from .snapshot import evolve as evolve_snapshot
-from .views import build_multiview
+from .views import build_multiview, collisions
 
 FUEL = 64  # micro-step passes per tick before "livelock suspected"
 
@@ -58,7 +58,7 @@ class TraceEvent(NamedTuple):
 @dataclass
 class Verdict:
     safe: bool = True
-    first_violation: Optional[tuple] = None  # (time, (car, car), view index)
+    first_violation: Optional[tuple] = None  # (time, (car, rival), node)
     deadlocked_cars: frozenset = frozenset()
 
 
@@ -100,12 +100,10 @@ class Simulation:
 
     # -- views ---------------------------------------------------------------
 
-    def _mv(self, cid):
-        return build_multiview(self.topo, self.ts, cid, self.scenario.h_b, self.scenario.h_f)
-
     def env_for(self, inst: ControllerInstance) -> GuardEnv:
-        return GuardEnv(self.ts, self._mv(inst.car), inst.x, inst.data, self.params,
-                        inst.car)
+        mv = build_multiview(self.topo, self.ts, inst.car, self.scenario.h_b,
+                             self.scenario.h_f)
+        return GuardEnv(self.ts, mv, inst.x, inst.data, self.params, inst.car)
 
     # -- events ----------------------------------------------------------------
 
@@ -262,10 +260,11 @@ class Simulation:
                 )
 
     def monitor(self) -> None:
+        hits = collisions(self.ts)
         for cid in self.scenario.monitored:
             if cid not in self.ts.cars:
                 continue
-            hit = col_witness(self.ts, self._mv(cid), cid, ground_truth=True)
+            hit = hits.get(cid)
             safe = hit is None
             self.emit("SafetyVerdict", ("car", cid), ("safe", str(safe).lower()))
             if not safe and self.verdict.safe:
@@ -275,7 +274,7 @@ class Simulation:
                     "Violation",
                     ("kind", "safety"),
                     ("cars", f"{cid}|{hit[0]}"),
-                    ("view", str(hit[1])),
+                    ("node", str(hit[1])),
                 )
 
     # -- main loop ------------------------------------------------------------------

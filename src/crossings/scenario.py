@@ -37,7 +37,6 @@ from dataclasses import dataclass, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
-from .formulas import col_witness
 from .logic import names_a_car
 from .network import ComponentNameError, NodeId, Topology, UrbanRoadNetwork, check_path
 from .params import ProtocolParams
@@ -50,7 +49,7 @@ from .snapshot import (
     safety_envelope,
     sanity_check,
 )
-from .views import build_multiview
+from .views import build_multiview, collisions
 
 CONTROLLER_KINDS = ("road", "crossing", "helper")
 CAR_FIELDS = ("path", "pos", "speed", "size", "braking", "node", "heading",
@@ -318,6 +317,10 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError(f"{name}: " + "; ".join(problems))
+    # lay out each car's initial views at load, where the check path reads them
+    ts = scenario.snapshot()
+    for cid in ts.cars:
+        build_multiview(scenario.topo, ts, cid, scenario.h_b, scenario.h_f)
     return scenario
 
 
@@ -330,14 +333,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         except PathExhausted:
             problems.append(f"{cid}: initial envelope runs past its path")
     if not problems:
-        for cid in scenario.monitored:
-            mv = build_multiview(scenario.topo, ts, cid, scenario.h_b, scenario.h_f)
-            hit = col_witness(ts, mv, cid, ground_truth=True)
-            if hit is not None:
-                problems.append(
-                    f"initial snapshot violates Safe({cid}): overlap with {hit[0]}"
-                )
-                break
+        hits = collisions(ts)
+        cid = next((c for c in scenario.monitored if c in hits), None)
+        if cid is not None:
+            problems.append(f"initial snapshot violates Safe({cid}): "
+                            f"overlap with {hits[cid][0]}")
     return problems
 
 

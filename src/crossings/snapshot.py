@@ -56,7 +56,7 @@ class TrafficSnapshot:
     from that car alone (its multi-view, occupancy and view fragments), which
     depends only on its own state and the network; ``with_car`` hands it on
     for every car it leaves untouched.  ``cache`` holds what reads every car
-    (guard verdicts per multi-view) and starts empty in every new snapshot.
+    (guard verdicts, a node index) and starts empty in every new snapshot.
     """
 
     cars: dict  # car id -> CarState; treat as read-only

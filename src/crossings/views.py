@@ -6,9 +6,10 @@ start of the node the ego rear is on).  The multi-view bundles one such
 window per approach road of the upcoming intersection but the one the ego
 path enters it from, so that cars hidden from one window appear in a
 sibling window; view 0 runs toward the road the path leaves it by.  Here
-alone live what each car perceives (``node_occupancy``), its projection on
-a view (``car_fragment``: merged runs per lane and kind), the broad phase
-and the rules on occupancy runs (from ``merge_runs`` on); ``formulas`` and
+alone live what each car perceives (``node_occupancy``), the monitor's
+ground truth on the network nodes (``collisions``), a car's projection on a
+view (``car_fragment``: merged runs per lane and kind), the broad phase and
+the rules on occupancy runs (from ``merge_runs`` on); ``formulas`` and
 ``logic`` decide predicates.
 """
 
@@ -279,49 +280,68 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     return mv
 
 
-def _mode(cid: str, owner: str, ground_truth: bool) -> str:
-    """How a car is projected onto a view owned by ``owner``: "gt" for the
-    monitor's ground truth, "own" for the owner itself, "seen" for others."""
-    return "gt" if ground_truth else ("own" if cid == owner else "seen")
+def _extent_entries(ts: TrafficSnapshot, cid: str, extent) -> list:
+    """Node-local entries (node, lo, hi) of a car's ``extent`` walk, kept in
+    the snapshot's per-car store; a car changing lanes holds the same stretch
+    of the antiparallel partner lane, so that interval flips."""
+    memo = ts.car_cache[cid]
+    entries = memo.get(extent)
+    if entries is None:
+        try:
+            walked = extent(ts, cid)
+        except PathExhausted:
+            walked = ()
+        res = ts.cars[cid].res
+        entries = memo[extent] = []
+        for node, (lo, hi) in walked:
+            entries.append((node, lo, hi))
+            if len(res) == 2 and node in res and (
+                    partner := ts.net.lane_partner(node)) in res:
+                w = ts.net.weights[partner]
+                entries.append((partner, w - hi, w - lo))
+    return entries
 
 
-def node_occupancy(ts: TrafficSnapshot, cid: str, owner: str,
-                   ground_truth: bool = False):
+def node_occupancy(ts: TrafficSnapshot, cid: str, owner):
     """(reserved, claimed) node-local entries (node, lo, hi) of one car, as
-    car_fragment projects them onto a view owned by ``owner``, kept in the
-    snapshot's per-car store; ground truth claims nothing."""
-    mode = _mode(cid, owner, ground_truth)
+    car_fragment projects them onto a view owned by ``owner`` (None: as
+    every other car sees it), kept in the snapshot's per-car store."""
+    mode = "own" if cid == owner else "seen"
     memo = ts.car_cache[cid]
     hit = memo.get(mode)
     if hit is not None:
         return hit
-    s = ts.cars[cid]
-    net = ts.net
-    try:  # the owner and the monitor see the safety envelope, others the car
-        entries = physical_extent(ts, cid) if mode == "seen" \
-            else safety_envelope(ts, cid)
-    except PathExhausted:
-        entries = []
-    reserved = []
-    lane_change = len(s.res) == 2
-    for node, (lo, hi) in entries:
-        reserved.append((node, lo, hi))
-        # a car changing lanes occupies the same stretch of both lanes;
-        # paired lanes run antiparallel, so the partner interval flips
-        if lane_change and node.is_lane and node in s.res:
-            partner = net.lane_partner(node)
-            if partner in s.res:
-                w = net.weights[partner]
-                reserved.append((partner, w - hi, w - lo))
+    s, weights = ts.cars[cid], ts.net.weights
+    # the owner sees its safety envelope, the others the car
+    reserved = _extent_entries(ts, cid, safety_envelope if mode == "own"
+                               else physical_extent)
     if mode == "own" and s.cres:
         touched = {n for n, _, _ in reserved}
-        for n in sorted(s.cres):
-            if n not in touched:
-                reserved.append((n, 0.0, net.weights[n]))
-    claimed = [(n, 0.0, net.weights[n]) for n in sorted(s.clm | s.cclm)] \
-        if (s.clm or s.cclm) and not ground_truth else []
+        reserved = reserved + [(n, 0.0, weights[n])
+                               for n in sorted(s.cres) if n not in touched]
+    claimed = [(n, 0.0, weights[n]) for n in sorted(s.clm | s.cclm)]
     memo[mode] = (reserved, claimed)
     return reserved, claimed
+
+
+def collisions(ts: TrafficSnapshot) -> dict:
+    """{car: (lowest rival id, lowest node they collide on)} over ground
+    truth, worst-case physical space and not bookkeeping: every car's safety
+    envelope with its lane-change partner interval, no claims.  Two cars
+    collide on a crossing cell they share or where their entries on a lane
+    overlap by more than EPS.  No view is read, so no car is out of sight."""
+    by_node: dict = {}  # node -> [(car, lo, hi)] in car id order
+    for cid in sorted(ts.cars):
+        for node, lo, hi in _extent_entries(ts, cid, safety_envelope):
+            by_node.setdefault(node, []).append((cid, lo, hi))
+    out: dict = {}
+    for node, entries in sorted(by_node.items()):
+        for a, a_lo, a_hi in entries:
+            for b, b_lo, b_hi in entries:
+                if a != b and (a not in out or b < out[a][0]) and (
+                        node.is_crossing or min(a_hi, b_hi) - max(a_lo, b_lo) > EPS):
+                    out[a] = (b, node)
+    return out
 
 
 _EMPTY: dict = {}  # shared by every car with nothing on a view; read only
@@ -361,16 +381,6 @@ def overlaps(a, b) -> tuple:
                  if (hi := min(p[1], q[1])) - (lo := max(p[0], q[0])) > EPS)
 
 
-def intersects_open(runs, x1, x2) -> bool:
-    """Does a merged run reach more than EPS into the open stretch (x1, x2)?"""
-    for lo, hi in runs:
-        if lo >= x2 - EPS:
-            break
-        if hi > x1 + EPS:
-            return True
-    return False
-
-
 def gaps(runs, lo_bound, hi_bound) -> list:
     """The free stretches longer than EPS of [lo_bound, hi_bound] between runs."""
     out = []
@@ -395,8 +405,20 @@ def occupied(fragments, lane: int) -> list:
     return merge_runs(runs)
 
 
-def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
-                 ground_truth: bool = False) -> dict:
+def _placed(span: Span, lo: float, hi: float, extent) -> tuple:
+    """A node-local entry (lo, hi) of the span's node on the view axis,
+    clipped to the extent: a crossing cell is owned whole, a reversed span
+    flips the entry."""
+    if span.node.is_crossing:
+        lo, hi = span.lo, span.hi
+    elif span.reversed:
+        lo, hi = span.hi - hi, span.hi - lo
+    else:
+        lo, hi = span.lo + lo, span.lo + hi
+    return max(lo, extent[0]), min(hi, extent[1])
+
+
+def car_fragment(ts: TrafficSnapshot, cid: str, view: View) -> dict:
     """One car's projected occupancy on a view, clipped to X: its merged
     runs per (lane, kind), kept in the snapshot's per-car store; a car with
     nothing left on the view after clipping gets the one shared empty dict.
@@ -406,33 +428,24 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View,
     additionally projects the full spans of its own reserved crossing
     segments (a reserved cell is owned whole, and the car knows its own
     books), which is what keeps its on-crossing invariant true for the whole
-    manoeuvre.  Claims project over the claimed nodes' full spans.  In
-    ground-truth mode (the safety monitor's view of the world) every car
-    contributes its full envelope and nothing else: the monitor judges
-    worst-case physical space, not bookkeeping.
+    manoeuvre.  Claims project over the claimed nodes' full spans.  The
+    safety monitor projects nothing: it judges ground truth on the nodes
+    (``collisions``).
     """
     memo = ts.car_cache[cid]
     lanes = view.lanes
-    key = (lanes, view.extent, _mode(cid, view.owner, ground_truth))
+    key = (lanes, view.extent, "own" if cid == view.owner else "seen")
     hit = memo.get(key)
     if hit is not None:
         return hit
-    reserved_nodes, claimed_nodes = node_occupancy(ts, cid, view.owner, ground_truth)
-    a, b = view.extent
+    reserved_nodes, claimed_nodes = node_occupancy(ts, cid, view.owner)
     placements = ((0, lanes[0].placements), (1, lanes[1].placements))
     fragment = {}  # (lane, kind) -> runs
     for kind, nodes in ((Kind.RESERVED, reserved_nodes), (Kind.CLAIMED, claimed_nodes)):
         for node, lo_local, hi_local in nodes:
-            crossing = node.is_crossing
             for lane_idx, on_lane in placements:
                 for span in on_lane.get(node, ()):
-                    if crossing:
-                        lo, hi = span.lo, span.hi
-                    elif span.reversed:
-                        lo, hi = span.hi - hi_local, span.hi - lo_local
-                    else:
-                        lo, hi = span.lo + lo_local, span.lo + hi_local
-                    lo, hi = max(lo, a), min(hi, b)
+                    lo, hi = _placed(span, lo_local, hi_local, view.extent)
                     if hi > lo:
                         fragment.setdefault((lane_idx, kind), []).append((lo, hi))
     for runs_key, runs in fragment.items():
@@ -460,7 +473,7 @@ NODE_TOL = 1e-6
 
 
 def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
-                 ground_truth: bool = False, claims: bool = False) -> list:
+                 claims: bool = False) -> list:
     """Ids, in id order, of the cars whose reserved entries (with ``claims``,
     also their claimed ones) meet the node-local ``entries`` on some node.
 
@@ -474,7 +487,7 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
         index.setdefault(node, []).append((lo, hi))
     out = []
     for cid in sorted(ts.cars):
-        reserved, claimed = node_occupancy(ts, cid, owner, ground_truth)
+        reserved, claimed = node_occupancy(ts, cid, owner)
         for node, lo, hi in (reserved + claimed if claims and claimed else reserved):
             near = index.get(node)
             if near and any(lo < b + NODE_TOL and a < hi + NODE_TOL for a, b in near):
@@ -483,15 +496,46 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
     return out
 
 
-def near_fragments(ts: TrafficSnapshot, view: View, stretches) -> list:
+def _near(view: View, lane: int, x1: float, x2: float) -> list:
+    """The spans of the view's lane that meet the stretch [x1, x2]."""
+    return [s for s in view.lanes[lane].spans
+            if s.lo < x2 + NODE_TOL and x1 < s.hi + NODE_TOL]
+
+
+def near_fragments(ts: TrafficSnapshot, view: View, lane: int,
+                   x1: float, x2: float) -> list:
     """The merged runs ((lane, kind) -> runs) of each car on the nodes whose
-    spans meet one of the (lane, lo, hi) stretches: of every car whose runs
-    can reach into one of them."""
-    near = [(s.node, 0.0, ts.net.weights[s.node])
-            for lane, lo, hi in stretches for s in view.lanes[lane].spans
-            if s.lo < hi + NODE_TOL and lo < s.hi + NODE_TOL]
+    spans meet the stretch [x1, x2] of the lane: of every car whose runs can
+    reach into it."""
+    near = [(s.node, 0.0, ts.net.weights[s.node]) for s in _near(view, lane, x1, x2)]
     return [car_fragment(ts, c, view)
             for c in cars_meeting(ts, near, view.owner, claims=True)]
+
+
+def stretch_occupied(ts: TrafficSnapshot, view: View, lane: int,
+                     x1: float, x2: float) -> bool:
+    """Does a run of some car on the view's lane, as its owner sees the
+    cars, reach more than EPS into the open stretch (x1, x2)?  The entries
+    on the nodes under the stretch, read from a node index of every car's
+    entries as it sees itself (own) and as the others see it, are placed as
+    car_fragment places them and tested alone: past 3 EPS of stretch, a
+    merged run reaches in only through one of its pieces."""
+    shown = ts.cache.get(stretch_occupied)  # node -> [(car, own, lo, hi)]
+    if shown is None:
+        shown = ts.cache[stretch_occupied] = {}
+        for cid in ts.cars:
+            for own, owner in ((False, None), (True, cid)):
+                for entries in node_occupancy(ts, cid, owner):
+                    for node, lo, hi in entries:
+                        shown.setdefault(node, []).append((cid, own, lo, hi))
+    owner = view.owner
+    for span in _near(view, lane, x1, x2):
+        for c, own, lo_local, hi_local in shown.get(span.node, ()):
+            if own == (c == owner):
+                lo, hi = _placed(span, lo_local, hi_local, view.extent)
+                if lo < hi and lo < x2 - EPS and hi > x1 + EPS:
+                    return True
+    return False
 
 
 def twist(view: View) -> View:

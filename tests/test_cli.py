@@ -376,7 +376,7 @@ max_time = 6
 """)
         code = main(["run", str(path)])
         assert code == 1
-        assert capsys.readouterr().out.startswith("unsafe")
+        assert capsys.readouterr().out == "unsafe: A and B overlap on c0 at t=1.500\n"
 
     def test_usage_error(self):
         assert main(["run"]) == 2

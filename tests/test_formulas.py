@@ -49,10 +49,11 @@ from crossings.views import (
     MultiView,
     build_multiview,
     car_fragment,
-    intersects_open,
+    collisions,
     overlap_pos,
 )
 
+from brute import assert_agrees_on_views, ground_truth_nodes, intersects_open
 from conftest import make_car
 from gridgen import _TOPO, H_B, H_F, random_scene
 
@@ -192,8 +193,8 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert col_witness(ts, mv, "E", ground_truth=True) == ("A", 0)
-        assert col_witness(ts, mv, "E", ground_truth=False) is None
+        assert collisions(ts) == {"E": ("A", cs(0)), "A": ("E", cs(0))}
+        assert col_witness(ts, mv, "E") is None
 
     def test_ph_detects_car_on_crossing(self, topo):
         ts = TrafficSnapshot(
@@ -267,9 +268,9 @@ class TestBehaviour:
 # broad phase: the narrowed checks against all-car scans over full contexts
 
 
-def _brute_col(ts, mv, ego, ground_truth):
+def _brute_col(ts, mv, ego):
     for idx, view in enumerate(mv.views):
-        merged = {c: car_fragment(ts, c, view, ground_truth) for c in sorted(ts.cars)}
+        merged = {c: car_fragment(ts, c, view) for c in sorted(ts.cars)}
         for lane_idx in (0, 1):
             mine = merged[ego].get((lane_idx, Kind.RESERVED))
             if not mine:
@@ -314,14 +315,17 @@ def _brute_ca(ts, mv, ego, d_c):
 
 
 def _assert_narrowed_checks_exact(topo, ts, h_b, h_f, params, seen):
-    """Every car as ego: col(ego) both ways, pc and ca equal the brute force."""
+    """Every car as ego: col(ego), pc and ca equal the brute force, and the
+    monitor's node-level ground truth agrees with the per-view reading."""
+    hits, nodes = collisions(ts), ground_truth_nodes(ts)
     for ego in sorted(ts.cars):
         mv = build_multiview(topo, ts, ego, h_b, h_f)
         where = (ego, {c: (s.node, s.pos) for c, s in ts.cars.items()})
-        for ground_truth in (True, False):
-            witness = col_witness(ts, mv, ego, ground_truth=ground_truth)
-            assert witness == _brute_col(ts, mv, ego, ground_truth), where
-            seen["col"] += witness is not None
+        witness = col_witness(ts, mv, ego)
+        assert witness == _brute_col(ts, mv, ego), where
+        seen["col"] += witness is not None
+        assert not assert_agrees_on_views(hits, ts, mv, ego, nodes), where
+        seen["col"] += ego in hits
         pc = pc_cars(ts, mv, ego)
         assert pc == _brute_pc(ts, mv, ego), where
         seen["pc"] += bool(pc)

@@ -147,9 +147,11 @@ class TestMonitor:
         )
         verdict, events = run(scenario)
         assert not verdict.safe
-        when, cars, view = verdict.first_violation
-        assert set(cars) == {"A", "B"}
+        when, cars, node = verdict.first_violation
+        assert cars == ("A", "B") and node == NodeId.parse("7")
         assert when == 0.0  # flagged in the very tick the overlap exists
+        assert [ev.render() for ev in events if ev.kind == "Violation"] == [
+            "0.000 Violation kind=safety cars=A|B node=7"]
 
     def test_negative_controls_all_flagged(self):
         for seed in range(10):

@@ -13,6 +13,7 @@ from crossings.views import (
     Kind,
     build_multiview,
     car_fragment,
+    collisions,
     overlap_pos,
     twist,
     virtual_lanes,
@@ -33,12 +34,12 @@ class Occ(NamedTuple):
     kind: Kind
 
 
-def project_occupancy(ts, view, ground_truth=False):
+def project_occupancy(ts, view):
     """Every car's projected runs on the view, in car id order."""
     return [Occ(lane_idx, lo, hi, cid, kind)
             for cid in sorted(ts.cars)
             for (lane_idx, kind), runs
-            in sorted(car_fragment(ts, cid, view, ground_truth).items())
+            in sorted(car_fragment(ts, cid, view).items())
             for lo, hi in runs]
 
 
@@ -319,22 +320,22 @@ class TestProjection:
 
     def test_ground_truth_shows_full_envelopes_of_others(self, topo):
         # D has reserved c3 and its true envelope already reaches it; sensors
-        # show only the 4 m of metal, the monitor's view shows the whole thing
+        # show only the 4 m of metal, the monitor sees the whole thing and so
+        # D's envelope on c3 meets S, stopped on c3
         cars = {
             "E": make_car(path("7", "c0", "c1", "c2", "4"), 100.0, speed=8.0),
             "D": make_car(path("5", "c3", "6"), 143.0, speed=10.0, size=4.0,
                           braking=8.0, cres=frozenset({cs(3)})),
+            "S": make_car(path("1", "c1", "c2", "c3", "6"), 1.0, curr=3, speed=0.0,
+                          size=2.0, braking=0.0, cres=frozenset({cs(3)})),
         }
         ts = TrafficSnapshot(cars, topo.net)
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
         sensor = occ_for(ts, mv.views[0], "D")
-        truth = [o for o in project_occupancy(ts, mv.views[0], ground_truth=True)
-                 if o.car == "D"]
         view = mv.views[0]
         assert not any(on_crossing(view, o) for o in sensor)
         assert sum(o.hi - o.lo for o in sensor) == pytest.approx(4.0)
-        span = view.crossing_span(1)
-        assert any(o.lane == 1 and o.lo <= span[0] and o.hi >= span[1] for o in truth)
+        assert collisions(ts) == {"D": ("S", cs(3)), "S": ("D", cs(3))}
 
     def test_ground_truth_ignores_unbacked_reservations(self, topo):
         # a reservation with no envelope behind it is bookkeeping, not space
@@ -342,12 +343,11 @@ class TestProjection:
             "E": make_car(path("7", "c0", "c1", "c2", "4"), 100.0, speed=8.0),
             "D": make_car(path("5", "c3", "6"), 40.0, speed=10.0,
                           cres=frozenset({cs(3)})),
+            "S": make_car(path("1", "c1", "c2", "c3", "6"), 1.0, curr=3, speed=0.0,
+                          size=2.0, braking=0.0, cres=frozenset({cs(3)})),
         }
         ts = TrafficSnapshot(cars, topo.net)
-        mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        truth = [o for o in project_occupancy(ts, mv.views[0], ground_truth=True)
-                 if o.car == "D"]
-        assert not any(on_crossing(mv.views[0], o) for o in truth)
+        assert collisions(ts) == {}
 
 
 def occ_for(ts, view, car):
