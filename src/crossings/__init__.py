@@ -15,7 +15,6 @@ from .network import (
 )
 from .params import ProtocolParams
 from .snapshot import (
-    Action,
     ActionKind,
     CarState,
     PathExhausted,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .comm import Message
 from .params import ProtocolParams
-from .snapshot import Action, TrafficSnapshot, can_apply
+from .snapshot import TrafficSnapshot, can_apply
 from .views import MultiView
 
 CLOCK_EPS = 1e-9
@@ -166,7 +166,7 @@ class ControllerInstance:
 
     def _admissible(self, t: Transition, env: GuardEnv) -> bool:
         for kind in t.actions:
-            if can_apply(env.ts, self.car, Action(kind)) is not None:
+            if can_apply(env.ts, self.car, kind) is not None:
                 return False
         return True
 
@@ -200,14 +200,13 @@ class ControllerInstance:
                 return t, bindings
         return None
 
-    def fire(self, t: Transition, env: GuardEnv) -> tuple[list, list]:
-        """Apply a transition: run updates, move state; returns the
-        (messages, actions) it emits."""
+    def fire(self, t: Transition, env: GuardEnv) -> tuple[list, tuple]:
+        """Apply a transition: run updates, move state; returns the messages
+        it emits and its action kinds."""
         messages = [
             Message(out.channel, tuple(out.payload(env)), self.car)
             for out in t.outputs
         ]
-        actions = [Action(kind) for kind in t.actions]
         for var, fn in t.updates:
             self.data[var] = fn(env)
         if t.reset:
@@ -216,4 +215,4 @@ class ControllerInstance:
         if t.input is None:
             # input firing is bounded by the message volume instead
             self.fired_this_tick.add(id(t))
-        return messages, actions
+        return messages, t.actions

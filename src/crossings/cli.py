@@ -19,6 +19,8 @@ from .views import build_multiview
 def _load(spec: str, seed):
     if spec == "sweep":
         return sweep_scenario(0 if seed is None else seed)
+    if seed is not None:
+        raise ScenarioError("--seed applies only to the generated 'sweep' scenario")
     return load_scenario(spec)
 
 

@@ -256,10 +256,11 @@ def helper_controller(params: ProtocolParams) -> ControllerDefinition:
 
 
 def road_controller_stub() -> ControllerDefinition:
-    """Withdraws lane claims near a crossing and inhibits new ones there.
+    """Withdraws a lane claim once its car is near a crossing.
 
-    The lane-change behaviour between intersections is out of scope; only
-    the crossing-zone restriction is kept.
+    No action claims a lane: claims come only from scenario text.  The
+    lane-change behaviour between intersections is out of scope; only the
+    crossing-zone restriction is kept.
     """
     has_claim = Guard("clm != {}", lambda env: bool(env.ts.cars[env.car].clm))
     transitions = (

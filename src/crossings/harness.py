@@ -136,10 +136,10 @@ class Simulation:
 
     # -- micro-step fixpoint ----------------------------------------------------
 
-    def _apply_actions(self, inst, actions) -> None:
-        for action in actions:
-            self.ts = apply_action(self.ts, inst.car, action)
-            self.emit("Action", ("car", inst.car), ("kind", str(action)))
+    def _apply_actions(self, inst, kinds) -> None:
+        for kind in kinds:
+            self.ts = apply_action(self.ts, inst.car, kind)
+            self.emit("Action", ("car", inst.car), ("kind", kind.value))
 
     def _deliver(self, msg: Message) -> None:
         self.emit(

@@ -22,9 +22,12 @@ and so are a ``lane`` or ``cs`` line that declares a node again, a ``pair``
 or ``intersection`` name that repeats, that does not fit exactly one
 component, or that another component has as its id, a car id that formulas
 cannot name (not one identifier, ``ego`` or a word of their syntax), a car
-whose rear is on a crossing segment with no lane before it on its path, and
-a car whose safety envelope (size + braking) is wider than ``max_se``, the
-widest envelope the protocol's distance bounds allow for a hidden car.
+whose rear is on a crossing segment with no lane before it on its path, a
+car whose safety envelope (size + braking) is wider than ``max_se``, the
+widest envelope the protocol's distance bounds allow for a hidden car, and a
+car with a lane claim ``clm`` that is not exactly the lane paired with the
+lane its rear is on, or that holds a ``cres`` too: a car may claim only the
+lane beside its own.
 Every parameter must be positive, ``t`` below ``t_w``, ``h_f`` at least
 ``d_c + max_se`` and ``max_time / dt`` at most ``MAX_TICKS``; a parameter
 that breaks one of these is reported on its line.
@@ -300,6 +303,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             cclm=_parse_nodes(line_no, fields.get("cclm", "")),
             cres=cres,
         )
+        if state.clm and (state.clm != {net.lane_partner(path[curr])} or cres):
+            _err(line_no, f"car {cid}: clm must be the lane paired with {path[curr]}, "
+                          f"and the car must hold no cres")
         envelope = state.size + state.braking
         if envelope > params.max_se:
             _err(line_no, f"car {cid}: safety envelope size + braking = {envelope:g} m "

@@ -247,19 +247,7 @@ class ActionKind(Enum):
     WITHDRAW_CLAIM_CROSSING = "wd cc"
     RESERVE_CROSSING = "rc"
     WITHDRAW_RESERVE_CROSSING = "wd rc"
-    CLAIM_LANE = "cl"
     WITHDRAW_CLAIM_LANE = "wd cl"
-    RESERVE_LANE = "rl"
-    WITHDRAW_RESERVE_LANE = "wd rl"
-
-
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    lane: Optional[NodeId] = None
-
-    def __str__(self):
-        return self.kind.value if self.lane is None else f"{self.kind.value}({self.lane})"
 
 
 def _upcoming_crossing_run(s: CarState) -> frozenset[NodeId]:
@@ -274,67 +262,44 @@ def _upcoming_crossing_run(s: CarState) -> frozenset[NodeId]:
     return frozenset(run)
 
 
-def can_apply(ts: TrafficSnapshot, cid: str, action: Action) -> Optional[str]:
-    """None when admissible, otherwise the violated condition."""
+def can_apply(ts: TrafficSnapshot, cid: str, kind: ActionKind) -> Optional[str]:
+    """None when ``cid`` may take the action ``kind`` now, otherwise the
+    violated condition."""
     if cid not in ts.cars:
         return f"unknown car {cid}"
     s = ts.cars[cid]
-    k = action.kind
-    if k is ActionKind.CLAIM_CROSSING:
+    if kind is ActionKind.CLAIM_CROSSING:
         if len(s.clm) != 0 or len(s.res) != 1:
             return "crossing claim requires |clm| = 0 and |res| = 1"
         if not _upcoming_crossing_run(s):
             return "no upcoming intersection in path"
-    elif k is ActionKind.WITHDRAW_RESERVE_CROSSING:
+    elif kind is ActionKind.WITHDRAW_RESERVE_CROSSING:
         if not s.cres:
             return "no crossing reservation to withdraw"
         if not s.node.is_lane:
             return "cannot withdraw crossing reservation while on the crossing"
-    elif k is ActionKind.CLAIM_LANE:
-        if action.lane is None:
-            return "claim target lane missing"
-        if len(s.clm) != 0:
-            return "a lane is already claimed"
-        if len(s.res) + 1 > 2:
-            return "|res| + |clm| would exceed 2"
-        if len(s.cclm) >= 1 or len(s.cres) >= 1:
-            return "no lane claim during a crossing manoeuvre"
-        if not s.node.is_lane or ts.net.lane_partner(s.node) != action.lane:
-            return f"{action.lane} is not adjacent to {s.node}"
-    elif k is ActionKind.RESERVE_LANE:
-        if len(s.res | s.clm) > 2:
-            return "|res| would exceed 2"
-    elif k is ActionKind.WITHDRAW_RESERVE_LANE:
-        if not s.node.is_lane:
-            return "cannot shrink lane reservation while on the crossing"
     return None
 
 
-def apply_action(ts: TrafficSnapshot, cid: str, action: Action) -> TrafficSnapshot:
-    """Apply a controller action, returning the successor snapshot."""
-    reason = can_apply(ts, cid, action)
+def apply_action(ts: TrafficSnapshot, cid: str, kind: ActionKind) -> TrafficSnapshot:
+    """Apply the controller action ``kind`` to ``cid``, returning the
+    successor snapshot; raises ValueError when ``can_apply`` refuses it."""
+    reason = can_apply(ts, cid, kind)
     if reason is not None:
-        raise ValueError(f"{action} not admissible for {cid}: {reason}")
+        raise ValueError(f"{kind.value} not admissible for {cid}: {reason}")
     s = ts.cars[cid]
-    k = action.kind
-    if k is ActionKind.CLAIM_CROSSING:
+    if kind is ActionKind.CLAIM_CROSSING:
         s = replace(s, cclm=_upcoming_crossing_run(s))
-    elif k is ActionKind.WITHDRAW_CLAIM_CROSSING:
+    elif kind is ActionKind.WITHDRAW_CLAIM_CROSSING:
         s = replace(s, cclm=frozenset())
-    elif k is ActionKind.RESERVE_CROSSING:
+    elif kind is ActionKind.RESERVE_CROSSING:
         s = replace(s, cres=s.cres | s.cclm, cclm=frozenset())
-    elif k is ActionKind.WITHDRAW_RESERVE_CROSSING:
+    elif kind is ActionKind.WITHDRAW_RESERVE_CROSSING:
         s = replace(s, cres=frozenset(), res=frozenset({s.node}))
-    elif k is ActionKind.CLAIM_LANE:
-        s = replace(s, clm=frozenset({action.lane}))
-    elif k is ActionKind.WITHDRAW_CLAIM_LANE:
+    elif kind is ActionKind.WITHDRAW_CLAIM_LANE:
         s = replace(s, clm=frozenset())
-    elif k is ActionKind.RESERVE_LANE:
-        s = replace(s, res=s.res | s.clm, clm=frozenset())
-    elif k is ActionKind.WITHDRAW_RESERVE_LANE:
-        s = replace(s, res=frozenset({s.node}))
     out = ts.with_car(cid, s)
     problems = _car_sanity(out, cid)
     if problems:
-        raise ValueError(f"{action} on {cid} breaks sanity: {problems[0]}")
+        raise ValueError(f"{kind.value} on {cid} breaks sanity: {problems[0]}")
     return out

@@ -149,6 +149,11 @@ class TestValidate:
          "car E: path adjacency c0 -> c2 is not a directed edge"),
         ("size=4", "size=4 node=0", 36, "car E: node 0 not on its path"),
         ("size=4", "size=4 controllers=road,pilot", 36, "unknown controller kind 'pilot'"),
+        # a car may claim only the lane paired with its own, and not while it
+        # holds crossing cells; E's rear is on lane 7, paired with 6
+        *(("size=4", f"size=4 {fields}", 36,
+           "car E: clm must be the lane paired with 7, and the car must hold no cres")
+          for fields in ("clm=5", "clm=0", "clm=7", "clm=6 cres=c0,c1,c2")),
         ("path=7,c0,c1,c2,4 pos=100", "path=4 pos=148", None,
          "E: initial envelope runs past its path"),
         # network rules
@@ -344,6 +349,11 @@ class TestRun:
 
     def test_generated_sweep_scenario_is_reachable(self):
         assert main(["run", "sweep", "--seed", "3", "--ticks", "40"]) == 0
+
+    def test_seed_for_a_scenario_file_is_a_usage_error(self, capsys):
+        assert main(["run", "lone-left-turn", "--seed", "5"]) == 2
+        assert ("--seed applies only to the generated 'sweep' scenario"
+                in capsys.readouterr().err)
 
     def test_unsafe_run_exits_one(self, tmp_path, capsys):
         # two driverless cars forced onto the same crossing cell

@@ -47,6 +47,13 @@ def approaching(topo):
     )
 
 
+def test_action_vocabulary_is_what_the_controllers_issue():
+    definitions = (crossing_controller(PARAMS), helper_controller(PARAMS),
+                   road_controller_stub())
+    issued = {kind for d in definitions for t in d.transitions for kind in t.actions}
+    assert issued == set(ActionKind)
+
+
 class TestCrossingController:
     def test_activates_on_crossing_ahead(self, topo, approaching):
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
@@ -69,11 +76,11 @@ class TestCrossingController:
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q1", "q2")
         _, actions = inst.fire(t, env)
-        assert [a.kind for a in actions] == [ActionKind.CLAIM_CROSSING]
+        assert actions == (ActionKind.CLAIM_CROSSING,)
         assert inst.x == 0.0
 
     def test_reserves_alone_without_helpers(self, topo, approaching):
-        ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
+        ts = apply_action(approaching, "E", ActionKind.CLAIM_CROSSING)
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q2"
         t = inst.enabled_transition(env_for(topo, ts, inst))
@@ -132,7 +139,7 @@ class TestCrossingController:
         assert inst.matching_input(Message("yes", ("B", "D"), "D"), env) is None
 
     def test_no_aborts_with_withdrawal_and_finished(self, topo, approaching):
-        ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
+        ts = apply_action(approaching, "E", ActionKind.CLAIM_CROSSING)
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q3"
         env = env_for(topo, ts, inst)
@@ -141,13 +148,11 @@ class TestCrossingController:
         t, bindings = hit
         assert (t.source, t.target) == ("q3", "q1")
         messages, actions = inst.fire(t, env.with_bindings(bindings))
-        assert [a.kind for a in actions] == [
-            ActionKind.WITHDRAW_CLAIM_CROSSING
-        ]
+        assert actions == (ActionKind.WITHDRAW_CLAIM_CROSSING,)
         assert [m.channel for m in messages] == ["finished"]
 
     def test_failed_cycle_backs_off_one_answer_window(self, topo, approaching):
-        ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
+        ts = apply_action(approaching, "E", ActionKind.CLAIM_CROSSING)
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q3"
         inst.x = 0.2
@@ -169,7 +174,7 @@ class TestCrossingController:
         assert all(t.input is not None for t in q3[:first_timed])
 
     def test_q2_invariant_bounds_the_claim_phase(self, topo, approaching):
-        ts = apply_action(approaching, "E", _act(ActionKind.CLAIM_CROSSING))
+        ts = apply_action(approaching, "E", ActionKind.CLAIM_CROSSING)
         inst = ControllerInstance(crossing_controller(PARAMS), "E")
         inst.state = "q2"
         inst.x = PARAMS.t_o - 0.1
@@ -207,9 +212,7 @@ class TestCrossingController:
         t = inst.enabled_transition(env)
         assert (t.source, t.target) == ("q5", "q0")
         _, actions = inst.fire(t, env)
-        assert [a.kind for a in actions] == [
-            ActionKind.WITHDRAW_RESERVE_CROSSING
-        ]
+        assert actions == (ActionKind.WITHDRAW_RESERVE_CROSSING,)
 
     def test_finish_waits_for_the_rear_to_leave_the_crossing(self, topo):
         # q4 -> q0 withdraws the crossing reservation: its guard holds at
@@ -267,12 +270,6 @@ def test_claims_back_off_after_a_failed_cycle_only():
                     assert ev.time == when, (label, d)
                     first += 1
     assert backed_off > 10 and first > 10
-
-
-def _act(kind):
-    from crossings.snapshot import Action
-
-    return Action(kind)
 
 
 @pytest.fixture
@@ -503,7 +500,7 @@ class TestRoadStub:
         t2 = inst.enabled_transition(env)
         assert (t2.source, t2.target) == ("hold", "hold")
         _, actions = inst.fire(t2, env)
-        assert [a.kind for a in actions] == [ActionKind.WITHDRAW_CLAIM_LANE]
+        assert actions == (ActionKind.WITHDRAW_CLAIM_LANE,)
 
     def test_idle_without_claims_far_from_crossings(self, topo):
         ts = TrafficSnapshot(

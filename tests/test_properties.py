@@ -1,9 +1,10 @@
 """Hypothesis properties of `evolve` and the controller actions.
 
 Fleets are drawn on the demo intersection: each car on one of the demo
-routes, on any node of it, with any claim and reservation state a
-controller can bring about there (crossing cells claimed or reserved, a
-lane claimed or both lanes reserved mid lane change).
+routes, on any node of it, with any claim and reservation state it can hold
+there: crossing cells claimed or reserved by its controllers, or a lane
+claimed or both lanes reserved mid lane change, which only scenario text
+sets.  Action steps draw from every `ActionKind`.
 """
 
 from dataclasses import fields
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from crossings.network import NodeId
 from crossings.randomgen import ROUTES
 from crossings.snapshot import (
-    Action,
     ActionKind,
     CarState,
     TrafficSnapshot,
@@ -92,11 +92,8 @@ def test_admissible_actions_then_evolve_stay_sane(ts, steps, dt):
     assert sanity_check(ts) == []
     for i, kind in steps:
         cid = sorted(ts.cars)[i % len(ts.cars)]
-        # a lane claim targets the lane beside the car, the only one it may take
-        action = Action(kind, NET.lane_partner(ts.cars[cid].node)
-                        if kind is ActionKind.CLAIM_LANE else None)
-        if can_apply(ts, cid, action) is None:
-            ts = apply_action(ts, cid, action)
+        if can_apply(ts, cid, kind) is None:
+            ts = apply_action(ts, cid, kind)
             assert sanity_check(ts) == []
     for _ in range(4):
         ts = evolve(ts, dt)

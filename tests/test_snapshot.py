@@ -4,7 +4,6 @@ import pytest
 
 from crossings.network import NodeId, UrbanRoadNetwork, cs, lane
 from crossings.snapshot import (
-    Action,
     ActionKind,
     CarState,
     EPS_STOP,
@@ -228,24 +227,24 @@ class TestActions:
     def test_claim_crossing_takes_all_needed_cells(self, make_snapshot):
         car = make_car(path("7", "c0", "c1", "c2", "4"), 120.0)
         ts = make_snapshot(E=car)
-        out = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+        out = apply_action(ts, "E", ActionKind.CLAIM_CROSSING)
         assert out.cars["E"].cclm == frozenset({cs(0), cs(1), cs(2)})
 
     def test_claim_crossing_two_lanes_back(self, two_lanes_back):
         # E's path runs 8, 7, then the crossing: the claim skips lane 7
         ts = two_lanes_back.snapshot()
-        out = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+        out = apply_action(ts, "E", ActionKind.CLAIM_CROSSING)
         assert out.cars["E"].cclm == frozenset({cs(0), cs(1), cs(2)})
 
     def test_claim_crossing_past_the_last_one_is_refused(self, two_lanes_back):
         # D's path ends on lane 9, two lanes after c3
         ts = two_lanes_back.snapshot()
-        assert can_apply(ts, "D", Action(ActionKind.CLAIM_CROSSING)) == \
+        assert can_apply(ts, "D", ActionKind.CLAIM_CROSSING) == \
             "no upcoming intersection in path"
 
     def test_reserve_with_empty_claim_is_a_noop(self, make_snapshot):
         ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0))
-        out = apply_action(ts, "E", Action(ActionKind.RESERVE_CROSSING))
+        out = apply_action(ts, "E", ActionKind.RESERVE_CROSSING)
         assert out.cars["E"].cres == frozenset()
         assert out.cars["E"].cclm == frozenset()
 
@@ -253,16 +252,16 @@ class TestActions:
         car = make_car(path("7", "c0", "0"), 10.0,
                        res=frozenset({lane(7), lane(6)}))
         ts = make_snapshot(E=car)
-        reason = can_apply(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+        reason = can_apply(ts, "E", ActionKind.CLAIM_CROSSING)
         assert reason is not None and "|res| = 1" in reason
         with pytest.raises(ValueError, match="not admissible"):
-            apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+            apply_action(ts, "E", ActionKind.CLAIM_CROSSING)
 
     def test_reserve_then_withdraw_after_crossing(self, make_snapshot):
         car = make_car(path("7", "c0", "c1", "c2", "4"), 120.0)
         ts = make_snapshot(E=car)
-        ts = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
-        ts = apply_action(ts, "E", Action(ActionKind.RESERVE_CROSSING))
+        ts = apply_action(ts, "E", ActionKind.CLAIM_CROSSING)
+        ts = apply_action(ts, "E", ActionKind.RESERVE_CROSSING)
         assert ts.cars["E"].cres == frozenset({cs(0), cs(1), cs(2)})
         # drive across, then reduce the reservation to the exit lane
         for _ in range(30):
@@ -270,7 +269,7 @@ class TestActions:
             if ts.cars["E"].node == lane(4):
                 break
         assert ts.cars["E"].node == lane(4)
-        out = apply_action(ts, "E", Action(ActionKind.WITHDRAW_RESERVE_CROSSING))
+        out = apply_action(ts, "E", ActionKind.WITHDRAW_RESERVE_CROSSING)
         assert out.cars["E"].cres == frozenset()
         assert out.cars["E"].res == frozenset({lane(4)})
 
@@ -278,37 +277,23 @@ class TestActions:
         car = make_car(path("7", "c0", "0"), 1.0, curr=1,
                        cres=frozenset({cs(0)}))
         ts = make_snapshot(E=car)
-        assert can_apply(ts, "E", Action(ActionKind.WITHDRAW_RESERVE_CROSSING))
+        assert can_apply(ts, "E", ActionKind.WITHDRAW_RESERVE_CROSSING)
 
     def test_lane_claim_cycle_restores_state(self, make_snapshot):
-        ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0))
-        before = ts.cars["E"]
-        claimed = apply_action(ts, "E", Action(ActionKind.CLAIM_LANE, lane(6)))
-        assert claimed.cars["E"].clm == frozenset({lane(6)})
-        restored = apply_action(claimed, "E", Action(ActionKind.WITHDRAW_CLAIM_LANE))
-        assert restored.cars["E"] == before
+        # no action claims a lane; withdrawing a claim the state holds undoes it
+        unclaimed = make_car(path("7", "c0", "0"), 10.0)
+        ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0,
+                                      clm=frozenset({lane(6)})))
+        restored = apply_action(ts, "E", ActionKind.WITHDRAW_CLAIM_LANE)
+        assert restored.cars["E"] == unclaimed
 
     def test_crossing_claim_cycle_restores_state(self, make_snapshot):
         ts = make_snapshot(E=make_car(path("7", "c0", "c1", "2"), 10.0))
         before = ts.cars["E"]
-        claimed = apply_action(ts, "E", Action(ActionKind.CLAIM_CROSSING))
+        claimed = apply_action(ts, "E", ActionKind.CLAIM_CROSSING)
         restored = apply_action(claimed, "E",
-                                Action(ActionKind.WITHDRAW_CLAIM_CROSSING))
+                                ActionKind.WITHDRAW_CLAIM_CROSSING)
         assert restored.cars["E"] == before
-
-    def test_lane_claim_must_be_adjacent(self, make_snapshot):
-        ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0))
-        reason = can_apply(ts, "E", Action(ActionKind.CLAIM_LANE, lane(5)))
-        assert reason is not None and "not adjacent" in reason
-
-    def test_reserve_lane_merges_claim(self, make_snapshot):
-        ts = make_snapshot(E=make_car(path("7", "c0", "0"), 10.0))
-        ts = apply_action(ts, "E", Action(ActionKind.CLAIM_LANE, lane(6)))
-        ts = apply_action(ts, "E", Action(ActionKind.RESERVE_LANE))
-        assert ts.cars["E"].res == frozenset({lane(6), lane(7)})
-        assert ts.cars["E"].clm == frozenset()
-        out = apply_action(ts, "E", Action(ActionKind.WITHDRAW_RESERVE_LANE))
-        assert out.cars["E"].res == frozenset({lane(7)})
 
     def test_current_node_always_reserved_after_actions(self, topo):
         rng = random.Random(5)
@@ -320,13 +305,7 @@ class TestActions:
             for _ in range(12):
                 cid = rng.choice(ts.car_ids())
                 kind = rng.choice(kinds)
-                arg = None
-                if kind is ActionKind.CLAIM_LANE:
-                    arg = ts.net.lane_partner(ts.cars[cid].node)
-                    if arg is None:
-                        continue
-                action = Action(kind, arg)
-                if can_apply(ts, cid, action) is None:
-                    ts = apply_action(ts, cid, action)
+                if can_apply(ts, cid, kind) is None:
+                    ts = apply_action(ts, cid, kind)
                 for car_id, s in ts.cars.items():
                     assert s.node in (s.res | s.cres), (car_id, s)
