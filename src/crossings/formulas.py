@@ -9,12 +9,16 @@ projected occupancy runs by the run rules in ``views``, and project only the
 cars that can change the verdict: those whose node-local occupancy meets
 the ego's, or the window in question, on a shared network node (the broad
 phase in ``views``); a free stretch is tested in place on the nodes under
-it (``views.stretch_occupied``).  Only ``ph_cars`` reads every car: it asks
+it (``views.stretch_occupied``).  The own-car checks (``check_ca``,
+``check_oc``, ``check_lc``) decide on the car's node entries placed along
+the multi-view's lane pairs wherever those tell the verdict, and project
+on views only where they do not.  Only ``ph_cars`` reads every car: it asks
 ``geom_ph`` of each on every view, and each of those reads that car's runs
 first.  The monitor judges on the nodes (``views.collisions``).
 ``test_formulas`` pins both routes against each other on randomized
 snapshots and on scenes where the guards are true, and the narrowed checks
-against all-car scans.
+against all-car scans; ``test_own_car_checks`` pins the own-car checks
+against the per-view reading.
 """
 
 from __future__ import annotations
@@ -50,10 +54,13 @@ from .views import (
     Kind,
     MultiView,
     View,
+    VirtualLane,
     car_fragment,
     car_runs,
     cars_meeting,
+    clipped_crossing_span,
     gaps,
+    lower_lane_runs,
     near_fragments,
     node_occupancy,
     occupied,
@@ -206,17 +213,24 @@ def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
     return False
 
 
-def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
-    for lane in (0, 1):
-        span = view.crossing_span(lane)
-        if span is None:
-            continue
-        start = span[0]
-        for lo, hi in car_runs(ts, view, ego, lane):
-            if hi < start - EPS and start - hi < d_c - EPS and \
-                    not stretch_occupied(ts, view, lane, hi, start):
-                return True
+def _ca_on_lane(ts: TrafficSnapshot, vlane: VirtualLane, owner: str, extent,
+               runs, d_c: float) -> bool:
+    """Does one of the ego's runs on the virtual lane end less than d_c
+    before its crossing span, with only free space between?"""
+    span = clipped_crossing_span(vlane, extent)
+    if span is None:
+        return False
+    start = span[0]
+    for _, hi in runs:
+        if hi < start - EPS and start - hi < d_c - EPS and \
+                not stretch_occupied(ts, vlane, owner, extent, hi, start):
+            return True
     return False
+
+
+def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
+    return any(_ca_on_lane(ts, view.lanes[lane], view.owner, view.extent,
+                           car_runs(ts, view, ego, lane), d_c) for lane in (0, 1))
 
 
 def _one_lane_slice_ok(fragments, lane: int, p_lo, p_hi, q_lo, q_hi,
@@ -265,8 +279,9 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
         if j1 <= t1 + EPS or j1 - t1 >= params.d_c_prime - EPS:
             continue
         window = (max(p_lo, a), min(j2, b))
-        if not stretch_occupied(ts, view, 1, t1, j1) and _one_lane_slice_ok(
-                near_fragments(ts, view, 0, *window), 0, p_lo, t1, j1, j2, *window):
+        if not stretch_occupied(ts, view.lanes[1], view.owner, view.extent, t1, j1) and \
+                _one_lane_slice_ok(near_fragments(ts, view, 0, *window), 0,
+                                   p_lo, t1, j1, j2, *window):
             return True
     return False
 
@@ -315,11 +330,13 @@ def pc_cars(ts: TrafficSnapshot, mv: MultiView, ego: str) -> set:
     claim are projected (the broad phase in `views`).
     """
     claimed = node_occupancy(ts, ego, mv.owner)[1]
-    near = cars_meeting(ts, claimed, mv.owner, claims=True)
+    near = [c for c in cars_meeting(ts, claimed, mv.owner, claims=True) if c != ego]
     out = set()
+    if not near:
+        return out
     for view in mv.views:
         for c in near:
-            if c != ego and c not in out and geom_pc(ts, view, ego, c):
+            if c not in out and geom_pc(ts, view, ego, c):
                 out.add(c)
     return out
 
@@ -339,20 +356,66 @@ def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
 @_per_snapshot
 def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
              params: ProtocolParams) -> bool:
-    """Crossing-ahead, judged on the view aligned with the ego path."""
-    return bool(mv.views) and geom_ca(ts, mv.views[0], ego, params.d_c)
+    """Crossing-ahead, judged on the view aligned with the ego path (view 0).
+
+    Where the ego's lane entries all lie on that view's lower lane, its
+    upper lane cannot make ``ca`` true (the ego has only crossing cells
+    there, which never end before the crossing begins), and the lower lane
+    is judged on the ego's node entries placed along the lane pair the
+    topology keeps, with no view laid out.
+    """
+    runs = None if mv.pairs is None else lower_lane_runs(ts, mv, ego)
+    if runs is None:
+        return bool(mv.views) and geom_ca(ts, mv.views[0], ego, params.d_c)
+    return _ca_on_lane(ts, mv.pairs[0].forward, mv.owner, mv.extent, runs, params.d_c)
+
+
+def _oc_on_pairs(ts: TrafficSnapshot, mv: MultiView, car: str) -> Optional[bool]:
+    """``oc`` of the car as the owner of ``mv`` sees it, read from the lane
+    pairs where they tell it, else None.  True when one of its crossing
+    entries lies on a lane of a pair more than EPS inside the extent (a
+    crossing cell is owned whole, so that piece lies in the crossing span);
+    False when it has no crossing entry and no lane of a pair reaches into
+    its crossing span."""
+    a, b = mv.extent
+    on_crossing = False
+    for node, _, _ in node_occupancy(ts, car, mv.owner)[0]:
+        if node.is_lane:
+            continue
+        on_crossing = True
+        for pair in mv.pairs:
+            for vlane in (pair.forward, pair.backward):
+                for span in vlane.placements.get(node, ()):
+                    if min(span.hi, b) - max(span.lo, a) > EPS:
+                        return True
+    if on_crossing or not all(pair.forward.lanes_clear_of_crossing
+                              and pair.backward.lanes_clear_of_crossing
+                              for pair in mv.pairs):
+        return None
+    return False
 
 
 @_per_snapshot
 def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    """Reservation on a crossing, read from the car's own fragments only."""
-    return any(geom_oc(ts, v, car) for v in mv.views)
+    """Reservation on a crossing, read from the car's own fragments only:
+    on the lane pairs where they tell it (``_oc_on_pairs``), else per view."""
+    verdict = None if mv.pairs is None else _oc_on_pairs(ts, mv, car)
+    if verdict is None:
+        return any(geom_oc(ts, v, car) for v in mv.views)
+    return verdict
 
 
 @_per_snapshot
 def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    """Mid lane change, read from the car's own fragments only."""
-    return any(geom_lc(ts, v, car) for v in mv.views)
+    """Mid lane change, read from the car's own fragments only.  A view on
+    one of whose lanes the car has no entry cannot show it on both, so only
+    the views whose lane pair holds its entries on both lanes are read."""
+    if mv.pairs is None:
+        return any(geom_lc(ts, v, car) for v in mv.views)
+    nodes = {node for node, _, _ in node_occupancy(ts, car, mv.owner)[0]}
+    return any(not nodes.isdisjoint(pair.forward.placements)
+               and not nodes.isdisjoint(pair.backward.placements)
+               and geom_lc(ts, mv.views[i], car) for i, pair in enumerate(mv.pairs))
 
 
 @_per_snapshot

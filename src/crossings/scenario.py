@@ -27,7 +27,9 @@ car whose safety envelope (size + braking) is wider than ``max_se``, the
 widest envelope the protocol's distance bounds allow for a hidden car, and a
 car with a lane claim ``clm`` that is not exactly the lane paired with the
 lane its rear is on, or that holds a ``cres`` too: a car may claim only the
-lane beside its own.
+lane beside its own.  A crossing booking (``cres``, ``cclm``) must lie on
+the car's path, and a crossing claim ``cclm`` must be the run of crossing
+cells next ahead on it, the one a claim action takes.
 Every parameter must be positive, ``t`` below ``t_w``, ``h_f`` at least
 ``d_c + max_se`` and ``max_time / dt`` at most ``MAX_TICKS``; a parameter
 that breaks one of these is reported on its line.
@@ -51,6 +53,7 @@ from .snapshot import (
     braking_distance,
     safety_envelope,
     sanity_check,
+    upcoming_crossing_run,
 )
 from .views import build_multiview, collisions
 
@@ -306,6 +309,13 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         if state.clm and (state.clm != {net.lane_partner(path[curr])} or cres):
             _err(line_no, f"car {cid}: clm must be the lane paired with {path[curr]}, "
                           f"and the car must hold no cres")
+        off_path = sorted((cres | state.cclm) - set(path))
+        if off_path:
+            _err(line_no, f"car {cid}: crossing booking {off_path[0]} is not on its path")
+        run = upcoming_crossing_run(state)
+        if state.cclm and state.cclm != run:
+            _err(line_no, f"car {cid}: cclm must be the next crossing run on its path, "
+                          f"{','.join(map(str, sorted(run)))}")
         envelope = state.size + state.braking
         if envelope > params.max_se:
             _err(line_no, f"car {cid}: safety envelope size + braking = {envelope:g} m "

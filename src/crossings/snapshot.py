@@ -250,7 +250,7 @@ class ActionKind(Enum):
     WITHDRAW_CLAIM_LANE = "wd cl"
 
 
-def _upcoming_crossing_run(s: CarState) -> frozenset[NodeId]:
+def upcoming_crossing_run(s: CarState) -> frozenset[NodeId]:
     """The contiguous run of crossing segments next ahead in the path."""
     i = s.curr + 1
     while i < len(s.path) and not s.path[i].is_crossing:
@@ -271,7 +271,7 @@ def can_apply(ts: TrafficSnapshot, cid: str, kind: ActionKind) -> Optional[str]:
     if kind is ActionKind.CLAIM_CROSSING:
         if len(s.clm) != 0 or len(s.res) != 1:
             return "crossing claim requires |clm| = 0 and |res| = 1"
-        if not _upcoming_crossing_run(s):
+        if not upcoming_crossing_run(s):
             return "no upcoming intersection in path"
     elif kind is ActionKind.WITHDRAW_RESERVE_CROSSING:
         if not s.cres:
@@ -289,7 +289,7 @@ def apply_action(ts: TrafficSnapshot, cid: str, kind: ActionKind) -> TrafficSnap
         raise ValueError(f"{kind.value} not admissible for {cid}: {reason}")
     s = ts.cars[cid]
     if kind is ActionKind.CLAIM_CROSSING:
-        s = replace(s, cclm=_upcoming_crossing_run(s))
+        s = replace(s, cclm=upcoming_crossing_run(s))
     elif kind is ActionKind.WITHDRAW_CLAIM_CROSSING:
         s = replace(s, cclm=frozenset())
     elif kind is ActionKind.RESERVE_CROSSING:

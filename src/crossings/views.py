@@ -5,7 +5,9 @@ virtual lanes sharing one coordinate axis (ego-path coordinates: 0 is the
 start of the node the ego rear is on).  The multi-view bundles one such
 window per approach road of the upcoming intersection but the one the ego
 path enters it from, so that cars hidden from one window appear in a
-sibling window; view 0 runs toward the road the path leaves it by.  Here
+sibling window; view 0 runs toward the road the path leaves it by.  A
+multi-view holds the car's lane pairs and lays its views out when they are
+first read (``MultiView``).  Here
 alone live what each car perceives (``node_occupancy``), the monitor's
 ground truth on the network nodes (``collisions``), a car's projection on a
 view (``car_fragment``: merged runs per lane and kind), the broad phase and
@@ -15,6 +17,7 @@ the rules on occupancy runs (from ``merge_runs`` on); ``formulas`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -58,6 +61,11 @@ class VirtualLane:
         raw = (min(p.lo for p in pieces), max(p.hi for p in pieces)) \
             if pieces else None
         object.__setattr__(self, "raw_crossing_span", raw)
+        # True when no lane span reaches more than EPS into the crossing
+        # span, so that an entry on a lane node never meets it
+        object.__setattr__(self, "lanes_clear_of_crossing", raw is None or all(
+            s.node.is_crossing or min(s.hi, raw[1]) - max(s.lo, raw[0]) <= EPS
+            for s in self.spans))
         placements: dict = {}  # node -> its spans on this lane
         for span in self.spans:
             placements.setdefault(span.node, []).append(span)
@@ -73,20 +81,42 @@ class View:
 
     def crossing_span(self, lane_idx: int) -> Optional[tuple[float, float]]:
         """Clipped span covered by crossing segments on one virtual lane."""
-        raw = self.lanes[lane_idx].raw_crossing_span
-        if raw is None:
-            return None
-        a, b = self.extent
-        lo, hi = max(raw[0], a), min(raw[1], b)
-        return (lo, hi) if hi > lo else None
+        return clipped_crossing_span(self.lanes[lane_idx], self.extent)
 
 
-@dataclass(frozen=True, eq=False)
+def clipped_crossing_span(vlane: VirtualLane, extent) -> Optional[tuple[float, float]]:
+    """The span covered by crossing segments on a virtual lane, clipped to
+    the extent; None when nothing of it is left."""
+    raw = vlane.raw_crossing_span
+    if raw is None:
+        return None
+    lo, hi = max(raw[0], extent[0]), min(raw[1], extent[1])
+    return (lo, hi) if hi > lo else None
+
+
 class MultiView:
-    """One car's views; built once per car and snapshot, compared by identity."""
+    """One car's views, all sharing the extent X = [pos - h_b, pos + h_f];
+    built once per car and snapshot, compared by identity.
 
-    owner: str
-    views: tuple[View, ...]
+    ``build_multiview`` gives it the car's lane pairs, as the topology keeps
+    them, and the extent; its views are laid out on the first read of
+    ``views``, so a check that decides on the car's own nodes and the lane
+    pairs lays out none.  A multi-view made from its views,
+    ``MultiView(owner, views)``, has no lane pairs (``pairs`` is None).
+    """
+
+    def __init__(self, owner: str, views: Optional[tuple] = None,
+                 pairs: Optional[tuple] = None, extent: Optional[tuple] = None):
+        self.owner = owner
+        self.pairs = pairs
+        self.extent = extent
+        if views is not None:
+            self.views = views
+
+    @functools.cached_property
+    def views(self) -> tuple:
+        return tuple(View(owner=self.owner, lanes=(p.forward, p.backward),
+                          extent=self.extent, target=p.target) for p in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -258,7 +288,8 @@ def _crossing_pairs(topo, path, anchor_idx, curr, cr_id):
 
 def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
                     h_b: float, h_f: float) -> MultiView:
-    """One view per virtual lane pair, all sharing X = [pos - h_b, pos + h_f].
+    """The car's multi-view: one view per virtual lane pair, all sharing
+    X = [pos - h_b, pos + h_f], laid out on the first read of ``views``.
 
     The multi-view depends on the car's own state alone, so it is kept in
     the snapshot's per-car store.
@@ -268,16 +299,11 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     memo = ts.car_cache[e]
     key = (topo, h_b, h_f)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    s = ts.cars[e]
-    extent = (s.pos - h_b, s.pos + h_f)
-    views = tuple(
-        View(owner=e, lanes=(p.forward, p.backward), extent=extent, target=p.target)
-        for p in virtual_lanes(topo, ts, e, h_f=h_f, h_b=h_b)
-    )
-    mv = memo[key] = MultiView(e, views)
-    return mv
+    if hit is None:
+        pairs = virtual_lanes(topo, ts, e, h_f=h_f, h_b=h_b)
+        s = ts.cars[e]
+        hit = memo[key] = MultiView(e, pairs=pairs, extent=(s.pos - h_b, s.pos + h_f))
+    return hit
 
 
 def _extent_entries(ts: TrafficSnapshot, cid: str, extent) -> list:
@@ -455,6 +481,27 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View) -> dict:
     return fragment
 
 
+def lower_lane_runs(ts: TrafficSnapshot, mv: MultiView, car: str) -> Optional[list]:
+    """The merged runs that the car's reserved lane entries, as the owner of
+    ``mv`` sees the car, make on the lower lane of its first lane pair (view
+    0's lane 0), placed as car_fragment places them but read from the lane
+    pair with no view laid out; None when one of them lies on the upper lane."""
+    pair = mv.pairs[0]
+    lower, upper = pair.forward.placements, pair.backward.placements
+    extent = mv.extent
+    runs = []
+    for node, lo_local, hi_local in node_occupancy(ts, car, mv.owner)[0]:
+        if node.is_crossing:
+            continue
+        if node in upper:
+            return None
+        for span in lower.get(node, ()):
+            lo, hi = _placed(span, lo_local, hi_local, extent)
+            if hi > lo:
+                runs.append((lo, hi))
+    return merge_runs(runs)
+
+
 def car_runs(ts: TrafficSnapshot, view: View, car: str, lane: int,
              kind: Kind = Kind.RESERVED) -> list:
     """One car's merged runs of one kind on one lane of the view."""
@@ -496,10 +543,9 @@ def cars_meeting(ts: TrafficSnapshot, entries, owner: str,
     return out
 
 
-def _near(view: View, lane: int, x1: float, x2: float) -> list:
-    """The spans of the view's lane that meet the stretch [x1, x2]."""
-    return [s for s in view.lanes[lane].spans
-            if s.lo < x2 + NODE_TOL and x1 < s.hi + NODE_TOL]
+def _near(vlane: VirtualLane, x1: float, x2: float) -> list:
+    """The spans of the virtual lane that meet the stretch [x1, x2]."""
+    return [s for s in vlane.spans if s.lo < x2 + NODE_TOL and x1 < s.hi + NODE_TOL]
 
 
 def near_fragments(ts: TrafficSnapshot, view: View, lane: int,
@@ -507,32 +553,33 @@ def near_fragments(ts: TrafficSnapshot, view: View, lane: int,
     """The merged runs ((lane, kind) -> runs) of each car on the nodes whose
     spans meet the stretch [x1, x2] of the lane: of every car whose runs can
     reach into it."""
-    near = [(s.node, 0.0, ts.net.weights[s.node]) for s in _near(view, lane, x1, x2)]
+    near = [(s.node, 0.0, ts.net.weights[s.node])
+            for s in _near(view.lanes[lane], x1, x2)]
     return [car_fragment(ts, c, view)
             for c in cars_meeting(ts, near, view.owner, claims=True)]
 
 
-def stretch_occupied(ts: TrafficSnapshot, view: View, lane: int,
-                     x1: float, x2: float) -> bool:
-    """Does a run of some car on the view's lane, as its owner sees the
-    cars, reach more than EPS into the open stretch (x1, x2)?  The entries
-    on the nodes under the stretch, read from a node index of every car's
-    entries as it sees itself (own) and as the others see it, are placed as
-    car_fragment places them and tested alone: past 3 EPS of stretch, a
-    merged run reaches in only through one of its pieces."""
+def stretch_occupied(ts: TrafficSnapshot, vlane: VirtualLane, owner: str,
+                     extent, x1: float, x2: float) -> bool:
+    """Does a run of some car on the virtual lane, as ``owner`` sees the
+    cars in the view ``(vlane, extent)`` is a lane of, reach more than EPS
+    into the open stretch (x1, x2)?  The entries on the nodes under the
+    stretch, read from a node index of every car's entries as it sees itself
+    (own) and as the others see it, are placed as car_fragment places them
+    and tested alone: past 3 EPS of stretch, a merged run reaches in only
+    through one of its pieces.  No view need be laid out."""
     shown = ts.cache.get(stretch_occupied)  # node -> [(car, own, lo, hi)]
     if shown is None:
         shown = ts.cache[stretch_occupied] = {}
         for cid in ts.cars:
-            for own, owner in ((False, None), (True, cid)):
-                for entries in node_occupancy(ts, cid, owner):
+            for own, car_owner in ((False, None), (True, cid)):
+                for entries in node_occupancy(ts, cid, car_owner):
                     for node, lo, hi in entries:
                         shown.setdefault(node, []).append((cid, own, lo, hi))
-    owner = view.owner
-    for span in _near(view, lane, x1, x2):
+    for span in _near(vlane, x1, x2):
         for c, own, lo_local, hi_local in shown.get(span.node, ()):
             if own == (c == owner):
-                lo, hi = _placed(span, lo_local, hi_local, view.extent)
+                lo, hi = _placed(span, lo_local, hi_local, extent)
                 if lo < hi and lo < x2 - EPS and hi > x1 + EPS:
                     return True
     return False

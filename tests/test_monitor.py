@@ -191,7 +191,7 @@ def test_stretch_occupied_matches_the_merged_runs():
                     stretches += [(hi, hi + q(rng, 0.25, 20.0)),
                                   (lo - q(rng, 0.25, 20.0), lo)]
                 for x1, x2 in stretches:
-                    got = stretch_occupied(ts, v, lane_idx, x1, x2)
+                    got = stretch_occupied(ts, v.lanes[lane_idx], v.owner, v.extent, x1, x2)
                     near = near_fragments(ts, v, lane_idx, x1, x2)
                     assert got == intersects_open(occupied(near, lane_idx), x1, x2) \
                         == intersects_open(everyone, x1, x2), (lane_idx, x1, x2)

@@ -1,0 +1,207 @@
+"""The own-car checks (`ca`, `oc`, `lc`) decided on the car's node entries
+and its lane pairs must agree with the per-view reading they replace:
+`geom_ca` on view 0, `geom_oc` and `geom_lc` in any view.  A multi-view
+lays its views out only when they are read, and a car with nothing to read
+them for lays out none."""
+
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from crossings import formulas
+from crossings.harness import Simulation
+from crossings.network import NodeId, lane
+from crossings.params import ProtocolParams
+from crossings.randomgen import NETWORK_TEXT, negative_scenario, sweep_scenario_text
+from crossings.scenario import bundled_scenarios, load_scenario, parse_scenario
+from crossings.snapshot import TrafficSnapshot
+from crossings.views import build_multiview
+
+from conftest import TWO_LANES_BEFORE_THE_CROSSING, make_car
+from gridgen import _TOPO, H_B, H_F, random_scene
+
+# the checks undecorated, so that every call decides afresh instead of
+# reading a verdict the run already kept in the snapshot
+CHECK_CA = formulas.check_ca.__wrapped__
+CHECK_OC = formulas.check_oc.__wrapped__
+CHECK_LC = formulas.check_lc.__wrapped__
+GEOM_CA, GEOM_OC, GEOM_LC = formulas.geom_ca, formulas.geom_oc, formulas.geom_lc
+
+
+def path(*names):
+    return tuple(NodeId.parse(n) for n in names)
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts the calls of each check, and those that read views (the
+    checks reach `geom_*` through the module's global names)."""
+    counts = Counter()
+
+    def counted(geom):
+        def call(*args):
+            counts["geom"] += 1
+            return geom(*args)
+        return call
+
+    for name, geom in (("ca", GEOM_CA), ("oc", GEOM_OC), ("lc", GEOM_LC)):
+        monkeypatch.setattr(formulas, "geom_" + name, counted(geom))
+    return counts
+
+
+def _decide(counts, name, check, *args):
+    geom_calls = counts["geom"]
+    verdict = check(*args)
+    counts[name] += 1
+    counts[name + " views"] += counts["geom"] > geom_calls
+    return verdict
+
+
+def _agree(topo, ts, h_b, h_f, params, counts):
+    """Every car as the ego, and every car as the subject of `oc`/`lc` on
+    each car's multi-view: the node path and the per-view reading agree."""
+    for ego in sorted(ts.cars):
+        mv = build_multiview(topo, ts, ego, h_b, h_f)
+        views = mv.views
+        assert _decide(counts, "ca", CHECK_CA, ts, mv, ego, params) == \
+            GEOM_CA(ts, views[0], ego, params.d_c), ("ca", ego)
+        for c in sorted(ts.cars):
+            assert _decide(counts, "oc", CHECK_OC, ts, mv, c) == \
+                any(GEOM_OC(ts, v, c) for v in views), ("oc", ego, c)
+            assert _decide(counts, "lc", CHECK_LC, ts, mv, c) == \
+                any(GEOM_LC(ts, v, c) for v in views), ("lc", ego, c)
+
+
+def _run_agreeing(scenario, counts):
+    """Run the scenario, checking each tick's first snapshot and every
+    snapshot a guard reads on the way."""
+    sim = Simulation(scenario)
+    checked: list = [None]
+
+    def check(ts):
+        if checked[0] is not ts:
+            checked[0] = ts
+            _agree(scenario.topo, ts, scenario.h_b, scenario.h_f, scenario.params, counts)
+
+    env_for = sim.env_for
+
+    def env_for_checked(inst):
+        check(sim.ts)
+        return env_for(inst)
+
+    sim.env_for = env_for_checked
+    for _ in range(scenario.ticks):
+        check(sim.ts)
+        sim.step()
+    check(sim.ts)
+
+
+def _node_path_decides_most(counts):
+    for name in ("ca", "oc", "lc"):
+        assert counts[name] and counts[name + " views"] < counts[name] / 2, (
+            name, counts[name], counts[name + " views"])
+
+
+def test_sweep_runs(tally):
+    for seed in range(100):
+        _run_agreeing(parse_scenario(sweep_scenario_text(seed)), tally)
+    _node_path_decides_most(tally)
+
+
+def test_negative_runs(tally):
+    for seed in range(60):
+        _run_agreeing(negative_scenario(seed), tally)
+    _node_path_decides_most(tally)
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_bundled_runs(tally, name):
+    _run_agreeing(load_scenario(name), tally)
+    assert tally["ca"] and tally["oc"] and tally["lc"]
+
+
+def test_two_lanes_before_the_crossing(tally):
+    _run_agreeing(parse_scenario(TWO_LANES_BEFORE_THE_CROSSING), tally)
+    _node_path_decides_most(tally)
+
+
+def test_random_scenes(tally):
+    # lane changes, lane claims, crossing claims and reservations, cars off
+    # the views and cars facing against their lane
+    rng = random.Random(24)
+    params = ProtocolParams(d_c=20.0, max_se=15.0)
+    kinds = set()
+    for _ in range(1000):
+        ts, _view = random_scene(rng, max_cars=6)
+        _agree(_TOPO, ts, H_B, H_F, params, tally)
+        for s in ts.cars.values():
+            kinds |= {k for k, held in (("lane change", len(s.res) == 2),
+                                        ("claim", s.clm), ("cclm", s.cclm),
+                                        ("cres", s.cres)) if held}
+    assert kinds == {"lane change", "claim", "cclm", "cres"}
+    _node_path_decides_most(tally)
+
+
+def test_a_lane_change_reads_the_partner_lane(tally):
+    # E straddles lanes 7 and 6 close to c0; B ahead on lane 7 fills view
+    # 0's lower lane before the crossing, but lane 6 beside it is free
+    net = _TOPO.net
+    ts = TrafficSnapshot({
+        "E": make_car(path("7", "c0", "c1", "2"), 120.0, speed=0.0,
+                      res=frozenset({lane(7), lane(6)})),
+        "B": make_car(path("7", "c0", "0"), 136.0, speed=0.0),
+    }, net)
+    params = ProtocolParams(d_c=40.0, max_se=15.0)
+    mv = build_multiview(_TOPO, ts, "E", H_B, H_F)
+    assert _decide(tally, "ca", CHECK_CA, ts, mv, "E", params)
+    assert tally["ca views"] == 1
+    view = mv.views[0]
+    lower_only = replace(view, lanes=(view.lanes[0], view.lanes[0]))
+    assert not GEOM_CA(ts, lower_only, "E", params.d_c)  # B blocks the lower lane
+
+
+def test_a_quiet_car_lays_out_no_view():
+    # E in q0, far from the crossing and holding no crossing booking; B on
+    # another approach, no rival of E's
+    scenario = parse_scenario(NETWORK_TEXT + """[cars]
+car E path=7,c0,c1,c2,4 pos=20 speed=8 size=4
+car B path=1,c1,c2,4 pos=30 speed=8 size=4
+""")
+    sim = Simulation(scenario)
+    ts = sim.ts
+    sim.step()
+    assert {i.defn.name: i.state for i in sim.instances if i.car == "E"} == {
+        "road": "idle", "crossing": "q0"}
+    mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
+    assert (formulas.check_ca.__wrapped__, mv, "E", scenario.params) in ts.cache
+    assert "views" not in vars(mv)
+    assert mv.views  # laid out now, on this read
+
+
+def test_loading_lays_out_every_car_s_lane_pairs(monkeypatch):
+    # the `formulas` benchmark times `build_multiview` on a fresh load: the
+    # lane pairs must be on the topology by then
+    import crossings.views as views
+
+    searches = []
+    search = views.shortest_directed_path
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(views, "shortest_directed_path", counted)
+    loads = [*(lambda n=n: load_scenario(n) for n in bundled_scenarios()),
+             *(lambda t=sweep_scenario_text(seed): parse_scenario(t) for seed in range(20))]
+    for load in loads:
+        before = len(searches)
+        scenario = load()
+        loaded = len(searches)
+        assert loaded > before, scenario.name
+        ts = scenario.snapshot()
+        for cid in ts.cars:
+            assert build_multiview(scenario.topo, ts, cid, scenario.h_b,
+                                   scenario.h_f).views
+        assert len(searches) == loaded, scenario.name
