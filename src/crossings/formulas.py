@@ -9,16 +9,17 @@ projected occupancy runs by the run rules in ``views``, and project only the
 cars that can change the verdict: those whose node-local occupancy meets
 the ego's, or the window in question, on a shared network node (the broad
 phase in ``views``); a free stretch is tested in place on the nodes under
-it (``views.stretch_occupied``).  The own-car checks (``check_ca``,
-``check_oc``, ``check_lc``) decide on the car's node entries placed along
-the multi-view's lane pairs wherever those tell the verdict, and project
-on views only where they do not.  Only ``ph_cars`` reads every car: it asks
-``geom_ph`` of each on every view, and each of those reads that car's runs
-first.  The monitor judges on the nodes (``views.collisions``).
-``test_formulas`` pins both routes against each other on randomized
-snapshots and on scenes where the guards are true, and the narrowed checks
-against all-car scans; ``test_own_car_checks`` pins the own-car checks
-against the per-view reading.
+it (``views.stretch_occupied``).  The own-car checks decide on the car's
+node entries placed along the multi-view's lane pairs: ``check_ca`` on the
+first pair, ``check_oc`` on every lane of every pair (``geom_oc`` is the
+same reading on a view's lanes), and ``check_lc`` projects only on the
+views whose pair holds the car's entries on both lanes.  Only ``ph_cars``
+reads every car: it asks ``geom_ph`` of each on every view, and each of
+those reads that car's runs first.  The monitor judges on the nodes
+(``views.collisions``).  ``test_formulas`` pins both routes against each
+other on randomized snapshots and on scenes where the guards are true, and
+the narrowed checks against all-car scans; ``test_own_car_checks`` pins the
+own-car checks against the per-view readings in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .views import (
     cars_meeting,
     clipped_crossing_span,
     gaps,
-    lower_lane_runs,
+    lane_runs,
     near_fragments,
     node_occupancy,
     occupied,
@@ -186,12 +187,24 @@ def builtin(name: str, args: list, params: Optional[ProtocolParams]) -> Formula:
 # direct interval checks
 
 
-def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
-    for lane in (0, 1):
-        span = view.crossing_span(lane)
-        if span and overlap_pos(car_runs(ts, view, car, lane), [span]):
-            return True
+def _oc_on_lanes(ts: TrafficSnapshot, lanes, owner: str, extent, car: str) -> bool:
+    """``oc`` of the car as ``owner`` sees it, on virtual lanes laid over
+    ``extent``: one of its crossing entries is placed more than EPS inside
+    the extent on one of the lanes.  A crossing cell is owned whole, so that
+    piece lies in the lane's crossing span; lanes are laid node after node,
+    so an entry on a lane node never reaches into it."""
+    a, b = extent
+    for node, _, _ in node_occupancy(ts, car, owner)[0]:
+        if node.is_crossing:
+            for vlane in lanes:
+                for span in vlane.placements.get(node, ()):
+                    if min(span.hi, b) - max(span.lo, a) > EPS:
+                        return True
     return False
+
+
+def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
+    return _oc_on_lanes(ts, view.lanes, view.owner, view.extent, car)
 
 
 def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
@@ -226,11 +239,6 @@ def _ca_on_lane(ts: TrafficSnapshot, vlane: VirtualLane, owner: str, extent,
                 not stretch_occupied(ts, vlane, owner, extent, hi, start):
             return True
     return False
-
-
-def geom_ca(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
-    return any(_ca_on_lane(ts, view.lanes[lane], view.owner, view.extent,
-                           car_runs(ts, view, ego, lane), d_c) for lane in (0, 1))
 
 
 def _one_lane_slice_ok(fragments, lane: int, p_lo, p_hi, q_lo, q_hi,
@@ -311,12 +319,11 @@ def _per_snapshot(check):
     """
 
     @functools.wraps(check)
-    def kept(ts, mv, *args, **kwargs):
-        # most guard calls pass no keywords; skip building their values
-        key = (check, mv, *args, *kwargs.values()) if kwargs else (check, mv, *args)
+    def kept(ts, mv, *args):
+        key = (check, mv, *args)
         hit = ts.cache.get(key, _MISS)
         if hit is _MISS:
-            hit = ts.cache[key] = check(ts, mv, *args, **kwargs)
+            hit = ts.cache[key] = check(ts, mv, *args)
         return hit
 
     return kept
@@ -356,53 +363,26 @@ def ph_cars(ts: TrafficSnapshot, mv: MultiView, ego: str,
 @_per_snapshot
 def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
              params: ProtocolParams) -> bool:
-    """Crossing-ahead, judged on the view aligned with the ego path (view 0).
-
-    Where the ego's lane entries all lie on that view's lower lane, its
-    upper lane cannot make ``ca`` true (the ego has only crossing cells
-    there, which never end before the crossing begins), and the lower lane
-    is judged on the ego's node entries placed along the lane pair the
-    topology keeps, with no view laid out.
-    """
-    runs = None if mv.pairs is None else lower_lane_runs(ts, mv, ego)
-    if runs is None:
-        return bool(mv.views) and geom_ca(ts, mv.views[0], ego, params.d_c)
-    return _ca_on_lane(ts, mv.pairs[0].forward, mv.owner, mv.extent, runs, params.d_c)
-
-
-def _oc_on_pairs(ts: TrafficSnapshot, mv: MultiView, car: str) -> Optional[bool]:
-    """``oc`` of the car as the owner of ``mv`` sees it, read from the lane
-    pairs where they tell it, else None.  True when one of its crossing
-    entries lies on a lane of a pair more than EPS inside the extent (a
-    crossing cell is owned whole, so that piece lies in the crossing span);
-    False when it has no crossing entry and no lane of a pair reaches into
-    its crossing span."""
-    a, b = mv.extent
-    on_crossing = False
-    for node, _, _ in node_occupancy(ts, car, mv.owner)[0]:
-        if node.is_lane:
-            continue
-        on_crossing = True
-        for pair in mv.pairs:
-            for vlane in (pair.forward, pair.backward):
-                for span in vlane.placements.get(node, ()):
-                    if min(span.hi, b) - max(span.lo, a) > EPS:
-                        return True
-    if on_crossing or not all(pair.forward.lanes_clear_of_crossing
-                              and pair.backward.lanes_clear_of_crossing
-                              for pair in mv.pairs):
-        return None
-    return False
+    """Crossing-ahead, judged on the lane pair aligned with the ego path
+    (view 0's), on the ego's lane entries placed along it.  Its crossing
+    entries are left out: they lie in the crossing span and never end
+    before it begins.  The upper lane holds lane entries of the ego only
+    mid lane change, and is read only then."""
+    pair = mv.pairs[0]
+    lower, upper = lane_runs(ts, pair, mv.owner, mv.extent, ego)
+    if _ca_on_lane(ts, pair.forward, mv.owner, mv.extent, lower, params.d_c):
+        return True
+    return bool(upper) and _ca_on_lane(ts, pair.backward, mv.owner, mv.extent,
+                                       upper, params.d_c)
 
 
 @_per_snapshot
 def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    """Reservation on a crossing, read from the car's own fragments only:
-    on the lane pairs where they tell it (``_oc_on_pairs``), else per view."""
-    verdict = None if mv.pairs is None else _oc_on_pairs(ts, mv, car)
-    if verdict is None:
-        return any(geom_oc(ts, v, car) for v in mv.views)
-    return verdict
+    """Reservation on a crossing, read from the car's own node entries on
+    every lane of the lane pairs (``_oc_on_lanes``)."""
+    return _oc_on_lanes(ts, [lane for pair in mv.pairs
+                            for lane in (pair.forward, pair.backward)],
+                       mv.owner, mv.extent, car)
 
 
 @_per_snapshot
@@ -410,8 +390,6 @@ def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
     """Mid lane change, read from the car's own fragments only.  A view on
     one of whose lanes the car has no entry cannot show it on both, so only
     the views whose lane pair holds its entries on both lanes are read."""
-    if mv.pairs is None:
-        return any(geom_lc(ts, v, car) for v in mv.views)
     nodes = {node for node, _, _ in node_occupancy(ts, car, mv.owner)[0]}
     return any(not nodes.isdisjoint(pair.forward.placements)
                and not nodes.isdisjoint(pair.backward.placements)

@@ -61,11 +61,6 @@ class VirtualLane:
         raw = (min(p.lo for p in pieces), max(p.hi for p in pieces)) \
             if pieces else None
         object.__setattr__(self, "raw_crossing_span", raw)
-        # True when no lane span reaches more than EPS into the crossing
-        # span, so that an entry on a lane node never meets it
-        object.__setattr__(self, "lanes_clear_of_crossing", raw is None or all(
-            s.node.is_crossing or min(s.hi, raw[1]) - max(s.lo, raw[0]) <= EPS
-            for s in self.spans))
         placements: dict = {}  # node -> its spans on this lane
         for span in self.spans:
             placements.setdefault(span.node, []).append(span)
@@ -98,20 +93,16 @@ class MultiView:
     """One car's views, all sharing the extent X = [pos - h_b, pos + h_f];
     built once per car and snapshot, compared by identity.
 
-    ``build_multiview`` gives it the car's lane pairs, as the topology keeps
-    them, and the extent; its views are laid out on the first read of
-    ``views``, so a check that decides on the car's own nodes and the lane
-    pairs lays out none.  A multi-view made from its views,
-    ``MultiView(owner, views)``, has no lane pairs (``pairs`` is None).
+    It holds the car's lane pairs, as the topology keeps them, and the
+    extent; its views are laid out on the first read of ``views``, so a
+    check that decides on the car's own nodes and the lane pairs lays out
+    none.
     """
 
-    def __init__(self, owner: str, views: Optional[tuple] = None,
-                 pairs: Optional[tuple] = None, extent: Optional[tuple] = None):
+    def __init__(self, owner: str, pairs: tuple, extent: tuple):
         self.owner = owner
         self.pairs = pairs
         self.extent = extent
-        if views is not None:
-            self.views = views
 
     @functools.cached_property
     def views(self) -> tuple:
@@ -302,7 +293,7 @@ def build_multiview(topo: Topology, ts: TrafficSnapshot, e: str,
     if hit is None:
         pairs = virtual_lanes(topo, ts, e, h_f=h_f, h_b=h_b)
         s = ts.cars[e]
-        hit = memo[key] = MultiView(e, pairs=pairs, extent=(s.pos - h_b, s.pos + h_f))
+        hit = memo[key] = MultiView(e, pairs, (s.pos - h_b, s.pos + h_f))
     return hit
 
 
@@ -481,25 +472,24 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View) -> dict:
     return fragment
 
 
-def lower_lane_runs(ts: TrafficSnapshot, mv: MultiView, car: str) -> Optional[list]:
-    """The merged runs that the car's reserved lane entries, as the owner of
-    ``mv`` sees the car, make on the lower lane of its first lane pair (view
-    0's lane 0), placed as car_fragment places them but read from the lane
-    pair with no view laid out; None when one of them lies on the upper lane."""
-    pair = mv.pairs[0]
-    lower, upper = pair.forward.placements, pair.backward.placements
-    extent = mv.extent
-    runs = []
-    for node, lo_local, hi_local in node_occupancy(ts, car, mv.owner)[0]:
+def lane_runs(ts: TrafficSnapshot, pair: LanePair, owner: str, extent,
+              car: str) -> tuple[list, list]:
+    """The merged runs that the car's reserved entries on lane nodes, as
+    ``owner`` sees the car, make on the forward and the backward lane of a
+    lane pair (a view's lanes 0 and 1), placed as car_fragment places them
+    but with no view laid out.  Crossing entries are left out."""
+    placed = ((pair.forward.placements, []), (pair.backward.placements, []))
+    for node, lo_local, hi_local in node_occupancy(ts, car, owner)[0]:
         if node.is_crossing:
             continue
-        if node in upper:
-            return None
-        for span in lower.get(node, ()):
-            lo, hi = _placed(span, lo_local, hi_local, extent)
-            if hi > lo:
-                runs.append((lo, hi))
-    return merge_runs(runs)
+        for on_lane, runs in placed:
+            for span in on_lane.get(node, ()):
+                lo, hi = _placed(span, lo_local, hi_local, extent)
+                if hi > lo:
+                    runs.append((lo, hi))
+    (_, lower), (_, upper) = placed
+    return (merge_runs(lower) if len(lower) > 1 else lower,
+            merge_runs(upper) if len(upper) > 1 else upper)
 
 
 def car_runs(ts: TrafficSnapshot, view: View, car: str, lane: int,

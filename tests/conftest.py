@@ -6,6 +6,7 @@ from crossings.network import Topology, UrbanRoadNetwork, cs, lane
 from crossings.randomgen import NETWORK_TEXT
 from crossings.scenario import parse_scenario
 from crossings.snapshot import CarState, TrafficSnapshot, braking_distance
+from crossings.views import LanePair, MultiView
 
 
 def demo_topology() -> Topology:
@@ -100,6 +101,11 @@ def make_car(path, pos, speed=10.0, size=4.0, braking=None, **kw):
     if not state.res and not state.cres and state.node.is_lane:
         state = CarState(**{**fields, "res": frozenset({state.node})}, **kw)
     return state
+
+
+def single_view(view) -> MultiView:
+    """A multi-view whose one lane pair is the view's lanes."""
+    return MultiView(view.owner, (LanePair(*view.lanes, view.target),), view.extent)
 
 
 @pytest.fixture

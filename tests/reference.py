@@ -11,6 +11,11 @@ nested chops stay affordable.
 Interval data comes from the same projection as the production evaluator;
 only the satisfaction search differs, which is exactly what the equivalence
 suite compares.
+
+``oc_on_view`` and ``ca_on_view`` are the per-view readings of ``oc`` and
+``ca`` that the checks on the lane pairs replaced: they read the car's
+merged runs on a view, crossing runs included, and test a free stretch
+against every car's runs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from crossings.logic import (
     VChop,
 )
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import Kind, View
+from crossings.views import Kind, View, car_fragment, car_runs, occupied, overlap_pos
+
+from brute import intersects_open
 
 
 class GridOracle:
@@ -246,3 +253,28 @@ def oracle_eval(ts: TrafficSnapshot, view: View, nu: dict, f: Formula,
     oracle = GridOracle(ts, view, points=points)
     token = tuple(sorted(nu.items()))
     return oracle.entry(f, token, (0, 1), 0, oracle.n - 1)
+
+
+def oc_on_view(ts: TrafficSnapshot, view: View, car: str) -> bool:
+    """Do the car's reserved runs on a lane overlap that lane's crossing span?"""
+    for lane in (0, 1):
+        span = view.crossing_span(lane)
+        if span and overlap_pos(car_runs(ts, view, car, lane), [span]):
+            return True
+    return False
+
+
+def ca_on_view(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:
+    """Does one of the ego's reserved runs on a lane end less than d_c before
+    that lane's crossing span, with no car's run in the stretch between?"""
+    for lane in (0, 1):
+        span = view.crossing_span(lane)
+        if span is None:
+            continue
+        start = span[0]
+        busy = occupied([car_fragment(ts, c, view) for c in ts.cars], lane)
+        for _, hi in car_runs(ts, view, ego, lane):
+            if hi < start - EPS and start - hi < d_c - EPS and \
+                    not intersects_open(busy, hi, start):
+                return True
+    return False

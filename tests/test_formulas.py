@@ -11,7 +11,6 @@ from crossings.formulas import (
     check_phinv,
     col_formula,
     col_witness,
-    geom_ca,
     geom_lc,
     geom_oc,
     geom_pc,
@@ -46,7 +45,6 @@ from crossings.scenario import load_scenario
 from crossings.snapshot import TrafficSnapshot
 from crossings.views import (
     Kind,
-    MultiView,
     build_multiview,
     car_fragment,
     collisions,
@@ -54,7 +52,7 @@ from crossings.views import (
 )
 
 from brute import assert_agrees_on_views, ground_truth_nodes, intersects_open
-from conftest import make_car
+from conftest import make_car, single_view
 from gridgen import _TOPO, H_B, H_F, random_scene
 
 PARAMS = ProtocolParams(d_c=20.0, max_se=15.0)
@@ -99,7 +97,7 @@ class TestEquivalence:
         for _ in range(60):
             ts, view = random_scene(rng)
             nu = default_valuation(ts, "E")
-            assert geom_ca(ts, view, "E", PARAMS.d_c) == eval_formula(
+            assert check_ca(ts, single_view(view), "E", PARAMS) == eval_formula(
                 ts, view, nu, ca_formula(PARAMS)
             )
 
@@ -108,7 +106,7 @@ class TestEquivalence:
         for _ in range(40):
             ts, view = random_scene(rng)
             nu = default_valuation(ts, "E")
-            direct = col_witness(ts, MultiView("E", (view,)), "E") is not None
+            direct = col_witness(ts, single_view(view), "E") is not None
             assert direct == eval_formula(ts, view, nu, col_formula())
             assert direct != eval_formula(ts, view, nu, safe_formula()) or \
                 len(ts.cars) == 1
@@ -134,12 +132,12 @@ class TestBehaviour:
             {"E": make_car(path("7", "c0", "c1", "2"), 135.0, speed=8.0)}, topo.net
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert geom_ca(ts, mv.views[0], "E", PARAMS.d_c)
+        assert check_ca(ts, mv, "E", PARAMS)
         far = TrafficSnapshot(
             {"E": make_car(path("7", "c0", "c1", "2"), 30.0, speed=8.0)}, topo.net
         )
         mv_far = build_multiview(topo, far, "E", h_b=50.0, h_f=150.0)
-        assert not geom_ca(far, mv_far.views[0], "E", PARAMS.d_c)
+        assert not check_ca(far, mv_far, "E", PARAMS)
 
     def test_ca_fails_with_a_car_in_between(self, topo):
         ts = TrafficSnapshot(
@@ -150,7 +148,7 @@ class TestBehaviour:
             topo.net,
         )
         mv = build_multiview(topo, ts, "E", h_b=50.0, h_f=150.0)
-        assert not geom_ca(ts, mv.views[0], "E", PARAMS.d_c)
+        assert not check_ca(ts, mv, "E", PARAMS)
 
     def test_pc_triggers_on_claim_overlap(self, topo):
         shared = frozenset({cs(0), cs(1)})

@@ -37,7 +37,7 @@ from crossings.network import NodeId, cs, lane
 from crossings.snapshot import TrafficSnapshot
 from crossings.views import Kind, build_multiview, twist
 
-from conftest import make_car
+from conftest import make_car, single_view
 import gridgen
 from gridgen import GRID_POINTS, random_scene
 from reference import oracle_eval
@@ -247,10 +247,8 @@ class TestMultiView:
         assert eval_multiview(ts, mv, nu, f, mode="forall") == all(per_view)
 
     def test_single_view_modes_coincide(self, topo, busy):
-        from crossings.views import MultiView
-
         mv = build_multiview(topo, busy, "E", h_b=50.0, h_f=150.0)
-        single = MultiView("E", (mv.views[0],))
+        single = single_view(mv.views[0])
         nu = default_valuation(busy, "E")
         f = parse("<re(ego) ; free ; cs>")
         assert eval_multiview(busy, single, nu, f, "forall") == \
@@ -261,7 +259,7 @@ class TestMultiView:
         from crossings.views import MultiView
 
         with pytest.raises(LogicError, match="empty"):
-            eval_multiview(busy, MultiView("E", ()), {"ego": "E"}, TRUE)
+            eval_multiview(busy, MultiView("E", (), (0.0, 0.0)), {"ego": "E"}, TRUE)
 
 
 class TestInvert:

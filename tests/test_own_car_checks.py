@@ -1,12 +1,14 @@
 """The own-car checks (`ca`, `oc`, `lc`) decided on the car's node entries
-and its lane pairs must agree with the per-view reading they replace:
-`geom_ca` on view 0, `geom_oc` and `geom_lc` in any view.  A multi-view
+and its lane pairs must agree with the per-view readings: `ca` on view 0
+and `oc` in any view as `tests/reference.py` reads them, `lc` as `geom_lc`
+reads it in any view.  `check_ca` and `check_oc` lay out no view, and
+`geom_oc` is `oc`'s reading on one view.  They rest on a layout fact: no
+lane span of a virtual lane reaches into its crossing span.  A multi-view
 lays its views out only when they are read, and a car with nothing to read
 them for lays out none."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -17,17 +19,18 @@ from crossings.params import ProtocolParams
 from crossings.randomgen import NETWORK_TEXT, negative_scenario, sweep_scenario_text
 from crossings.scenario import bundled_scenarios, load_scenario, parse_scenario
 from crossings.snapshot import TrafficSnapshot
-from crossings.views import build_multiview
+from crossings.views import EPS, LanePair, MultiView, Span, VirtualLane, build_multiview
 
 from conftest import TWO_LANES_BEFORE_THE_CROSSING, make_car
 from gridgen import _TOPO, H_B, H_F, random_scene
+from reference import ca_on_view, oc_on_view
 
 # the checks undecorated, so that every call decides afresh instead of
 # reading a verdict the run already kept in the snapshot
 CHECK_CA = formulas.check_ca.__wrapped__
 CHECK_OC = formulas.check_oc.__wrapped__
 CHECK_LC = formulas.check_lc.__wrapped__
-GEOM_CA, GEOM_OC, GEOM_LC = formulas.geom_ca, formulas.geom_oc, formulas.geom_lc
+GEOM_OC, GEOM_LC = formulas.geom_oc, formulas.geom_lc
 
 
 def path(*names):
@@ -36,18 +39,15 @@ def path(*names):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Counts the calls of each check, and those that read views (the
-    checks reach `geom_*` through the module's global names)."""
+    """Counts the calls of each check, and the `lc` calls that read views
+    (`check_lc` reaches `geom_lc` through the module's global name)."""
     counts = Counter()
 
-    def counted(geom):
-        def call(*args):
-            counts["geom"] += 1
-            return geom(*args)
-        return call
+    def counted(*args):
+        counts["geom"] += 1
+        return GEOM_LC(*args)
 
-    for name, geom in (("ca", GEOM_CA), ("oc", GEOM_OC), ("lc", GEOM_LC)):
-        monkeypatch.setattr(formulas, "geom_" + name, counted(geom))
+    monkeypatch.setattr(formulas, "geom_lc", counted)
     return counts
 
 
@@ -61,22 +61,45 @@ def _decide(counts, name, check, *args):
 
 def _agree(topo, ts, h_b, h_f, params, counts):
     """Every car as the ego, and every car as the subject of `oc`/`lc` on
-    each car's multi-view: the node path and the per-view reading agree."""
+    each car's multi-view: the checks and the per-view readings agree, and
+    `ca` and `oc` decide on a multi-view that has laid out no view."""
     for ego in sorted(ts.cars):
         mv = build_multiview(topo, ts, ego, h_b, h_f)
+        bare = MultiView(ego, mv.pairs, mv.extent)
+        ca = _decide(counts, "ca", CHECK_CA, ts, bare, ego, params)
+        oc = {c: _decide(counts, "oc", CHECK_OC, ts, bare, c) for c in ts.cars}
+        assert "views" not in vars(bare)
         views = mv.views
-        assert _decide(counts, "ca", CHECK_CA, ts, mv, ego, params) == \
-            GEOM_CA(ts, views[0], ego, params.d_c), ("ca", ego)
+        assert ca == ca_on_view(ts, views[0], ego, params.d_c), ("ca", ego)
         for c in sorted(ts.cars):
-            assert _decide(counts, "oc", CHECK_OC, ts, mv, c) == \
-                any(GEOM_OC(ts, v, c) for v in views), ("oc", ego, c)
+            on_views = [oc_on_view(ts, v, c) for v in views]
+            assert [GEOM_OC(ts, v, c) for v in views] == on_views, ("geom_oc", ego, c)
+            assert oc[c] == any(on_views), ("oc", ego, c)
             assert _decide(counts, "lc", CHECK_LC, ts, mv, c) == \
                 any(GEOM_LC(ts, v, c) for v in views), ("lc", ego, c)
 
 
+def _crossing_reached(vlane):
+    """The lane spans of a virtual lane that reach more than EPS into its
+    crossing span."""
+    raw = vlane.raw_crossing_span
+    return [s for s in vlane.spans if raw and not s.node.is_crossing
+            and min(s.hi, raw[1]) - max(s.lo, raw[0]) > EPS]
+
+
+def _lanes_clear_of_crossing(topo):
+    """Every virtual lane the topology has built keeps its lane spans out of
+    its crossing span: `oc` reads only crossing entries on that ground."""
+    lanes = [vlane for pairs in topo.cache.values() for pair in pairs
+             for vlane in (pair.forward, pair.backward)]
+    assert lanes
+    for vlane in lanes:
+        assert not _crossing_reached(vlane), vlane.nodes
+
+
 def _run_agreeing(scenario, counts):
     """Run the scenario, checking each tick's first snapshot and every
-    snapshot a guard reads on the way."""
+    snapshot a guard reads on the way, then the lanes it built."""
     sim = Simulation(scenario)
     checked: list = [None]
 
@@ -96,12 +119,13 @@ def _run_agreeing(scenario, counts):
         check(sim.ts)
         sim.step()
     check(sim.ts)
+    _lanes_clear_of_crossing(scenario.topo)
 
 
 def _node_path_decides_most(counts):
-    for name in ("ca", "oc", "lc"):
-        assert counts[name] and counts[name + " views"] < counts[name] / 2, (
-            name, counts[name], counts[name + " views"])
+    assert counts["ca"] and counts["oc"]
+    assert counts["lc"] and counts["lc views"] < counts["lc"] / 2, (
+        counts["lc"], counts["lc views"])
 
 
 def test_sweep_runs(tally):
@@ -142,9 +166,20 @@ def test_random_scenes(tally):
                                         ("cres", s.cres)) if held}
     assert kinds == {"lane change", "claim", "cclm", "cres"}
     _node_path_decides_most(tally)
+    _lanes_clear_of_crossing(_TOPO)
 
 
-def test_a_lane_change_reads_the_partner_lane(tally):
+def test_the_layout_check_flags_a_lane_inside_the_crossing_span():
+    # cells in the order lane, crossing, lane, crossing: lane 2 lies between
+    # the two crossing cells, so inside the lane's crossing span
+    nodes = tuple(NodeId.parse(n) for n in ("7", "c0", "2", "c1"))
+    spans = tuple(Span(n, 10.0 * i, 10.0 * (i + 1)) for i, n in enumerate(nodes))
+    assert [s.node for s in _crossing_reached(VirtualLane(nodes, spans))] == [nodes[2]]
+    laid = VirtualLane(nodes[:2], spans[:2])
+    assert laid.raw_crossing_span == (10.0, 20.0) and not _crossing_reached(laid)
+
+
+def test_a_lane_change_reads_the_partner_lane():
     # E straddles lanes 7 and 6 close to c0; B ahead on lane 7 fills view
     # 0's lower lane before the crossing, but lane 6 beside it is free
     net = _TOPO.net
@@ -155,11 +190,12 @@ def test_a_lane_change_reads_the_partner_lane(tally):
     }, net)
     params = ProtocolParams(d_c=40.0, max_se=15.0)
     mv = build_multiview(_TOPO, ts, "E", H_B, H_F)
-    assert _decide(tally, "ca", CHECK_CA, ts, mv, "E", params)
-    assert tally["ca views"] == 1
-    view = mv.views[0]
-    lower_only = replace(view, lanes=(view.lanes[0], view.lanes[0]))
-    assert not GEOM_CA(ts, lower_only, "E", params.d_c)  # B blocks the lower lane
+    assert CHECK_CA(ts, mv, "E", params)
+    assert "views" not in vars(mv)
+    pair = mv.pairs[0]
+    lower_only = MultiView("E", (LanePair(pair.forward, pair.forward, pair.target),),
+                           mv.extent)
+    assert not CHECK_CA(ts, lower_only, "E", params)  # B blocks the lower lane
 
 
 def test_a_quiet_car_lays_out_no_view():
