@@ -10,10 +10,11 @@ cars that can change the verdict: those whose node-local occupancy meets
 the ego's, or the window in question, on a shared network node (the broad
 phase in ``views``); a free stretch is tested in place on the nodes under
 it (``views.stretch_occupied``).  The own-car checks decide on the car's
-node entries placed along the multi-view's lane pairs: ``check_ca`` on the
-first pair, ``check_oc`` on every lane of every pair (``geom_oc`` is the
-same reading on a view's lanes), and ``check_lc`` projects only on the
-views whose pair holds the car's entries on both lanes.  Only ``ph_cars``
+node entries placed along the multi-view's lane pairs and lay out no view:
+``check_ca`` on the first pair, ``check_oc`` on every lane of every pair,
+``check_lc`` on both lanes of each pair and on lane entries alone, since
+crossing cells on both lanes of a view are no lane change (``geom_oc`` and
+``geom_lc`` are the same readings on a view's lanes).  Only ``ph_cars``
 reads every car: it asks ``geom_ph`` of each on every view, and each of
 those reads that car's runs first.  The monitor judges on the nodes
 (``views.collisions``).  ``test_formulas`` pins both routes against each
@@ -113,8 +114,8 @@ def ocac_formula(c: str, params: ProtocolParams, actor: str = "ego") -> Formula:
 
 
 def lc_formula(c: str) -> Formula:
-    """c is mid lane change: its reservation covers both lanes at one stretch."""
-    return somewhere(VChop(Re(c), Re(c)))
+    """c is mid lane change: its reservation covers both lanes off the crossing."""
+    return somewhere(And(VChop(Re(c), Re(c)), Not(somewhere(Cs()))))
 
 
 def ph_formula(c: str, params: ProtocolParams, actor: str = "ego") -> Formula:
@@ -152,9 +153,9 @@ def check_phinv(ts: TrafficSnapshot, mv: MultiView, ego: str, c: str, segments,
     request for ``segments``: ``lc`` and ``oc`` in any view, ``ca`` on view
     0, and ``csa`` read from the ego's own claimed and reserved segments."""
     s = ts.cars[ego]
-    if c == ego or (s.cclm | s.cres) & frozenset(segments) or check_lc(ts, mv, ego):
-        return False
-    return check_oc(ts, mv, ego) or check_ca(ts, mv, ego, params)
+    return c != ego and not (s.cclm | s.cres) & frozenset(segments) \
+        and (check_oc(ts, mv, ego) or check_ca(ts, mv, ego, params)) \
+        and not check_lc(ts, mv, ego)
 
 
 # name -> (builder taking the params and then the arguments, min, max arguments)
@@ -207,8 +208,16 @@ def geom_oc(ts: TrafficSnapshot, view: View, car: str) -> bool:
     return _oc_on_lanes(ts, view.lanes, view.owner, view.extent, car)
 
 
+def _lc_on_lanes(ts: TrafficSnapshot, lanes, owner: str, extent, car: str) -> bool:
+    """``lc`` of the car as ``owner`` sees it, on two virtual lanes laid over
+    ``extent``: its runs on lane nodes (``lane_runs``) overlap.  The upper
+    lane is read first: it holds the car's lane runs only mid lane change."""
+    upper = lane_runs(ts, lanes[1], owner, extent, car)
+    return bool(upper) and overlap_pos(lane_runs(ts, lanes[0], owner, extent, car), upper)
+
+
 def geom_lc(ts: TrafficSnapshot, view: View, car: str) -> bool:
-    return overlap_pos(car_runs(ts, view, car, 0), car_runs(ts, view, car, 1))
+    return _lc_on_lanes(ts, view.lanes, view.owner, view.extent, car)
 
 
 def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
@@ -227,14 +236,14 @@ def geom_pc(ts: TrafficSnapshot, view: View, ego: str, c: str) -> bool:
 
 
 def _ca_on_lane(ts: TrafficSnapshot, vlane: VirtualLane, owner: str, extent,
-               runs, d_c: float) -> bool:
-    """Does one of the ego's runs on the virtual lane end less than d_c
+               ego: str, d_c: float) -> bool:
+    """Does one of the ego's lane runs on the virtual lane end less than d_c
     before its crossing span, with only free space between?"""
     span = clipped_crossing_span(vlane, extent)
     if span is None:
         return False
     start = span[0]
-    for _, hi in runs:
+    for _, hi in lane_runs(ts, vlane, owner, extent, ego):
         if hi < start - EPS and start - hi < d_c - EPS and \
                 not stretch_occupied(ts, vlane, owner, extent, hi, start):
             return True
@@ -296,11 +305,8 @@ def geom_ocac(ts: TrafficSnapshot, view: View, ego: str, c: str,
 
 def geom_ph(ts: TrafficSnapshot, view: View, ego: str, c: str,
             params: ProtocolParams) -> bool:
-    if c == ego:
-        return False
-    if geom_lc(ts, view, c):
-        return False
-    return geom_oc(ts, view, c) or geom_ocac(ts, view, ego, c, params)
+    return c != ego and (geom_oc(ts, view, c) or geom_ocac(ts, view, ego, c, params)) \
+        and not geom_lc(ts, view, c)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +373,10 @@ def check_ca(ts: TrafficSnapshot, mv: MultiView, ego: str,
     (view 0's), on the ego's lane entries placed along it.  Its crossing
     entries are left out: they lie in the crossing span and never end
     before it begins.  The upper lane holds lane entries of the ego only
-    mid lane change, and is read only then."""
+    mid lane change, and is read only when the lower one fails."""
     pair = mv.pairs[0]
-    lower, upper = lane_runs(ts, pair, mv.owner, mv.extent, ego)
-    if _ca_on_lane(ts, pair.forward, mv.owner, mv.extent, lower, params.d_c):
-        return True
-    return bool(upper) and _ca_on_lane(ts, pair.backward, mv.owner, mv.extent,
-                                       upper, params.d_c)
+    return _ca_on_lane(ts, pair.forward, mv.owner, mv.extent, ego, params.d_c) or \
+        _ca_on_lane(ts, pair.backward, mv.owner, mv.extent, ego, params.d_c)
 
 
 @_per_snapshot
@@ -387,13 +390,9 @@ def check_oc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
 
 @_per_snapshot
 def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
-    """Mid lane change, read from the car's own fragments only.  A view on
-    one of whose lanes the car has no entry cannot show it on both, so only
-    the views whose lane pair holds its entries on both lanes are read."""
-    nodes = {node for node, _, _ in node_occupancy(ts, car, mv.owner)[0]}
-    return any(not nodes.isdisjoint(pair.forward.placements)
-               and not nodes.isdisjoint(pair.backward.placements)
-               and geom_lc(ts, mv.views[i], car) for i, pair in enumerate(mv.pairs))
+    """Mid lane change on some lane pair (``_lc_on_lanes``)."""
+    return any(_lc_on_lanes(ts, (pair.forward, pair.backward), mv.owner, mv.extent, car)
+               for pair in mv.pairs)
 
 
 @_per_snapshot

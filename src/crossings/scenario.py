@@ -27,9 +27,9 @@ car whose safety envelope (size + braking) is wider than ``max_se``, the
 widest envelope the protocol's distance bounds allow for a hidden car, and a
 car with a lane claim ``clm`` that is not exactly the lane paired with the
 lane its rear is on, or that holds a ``cres`` too: a car may claim only the
-lane beside its own.  A crossing booking (``cres``, ``cclm``) must lie on
-the car's path, and a crossing claim ``cclm`` must be the run of crossing
-cells next ahead on it, the one a claim action takes.
+lane beside its own.  Crossing bookings are whole runs of crossing cells
+on the path: a claim ``cclm`` the run next ahead, a reservation ``cres``
+the run the car's rear is on or, from a lane, the next one ahead.
 Every parameter must be positive, ``t`` below ``t_w``, ``h_f`` at least
 ``d_c + max_se`` and ``max_time / dt`` at most ``MAX_TICKS``; a parameter
 that breaks one of these is reported on its line.
@@ -38,7 +38,7 @@ that breaks one of these is reported on its line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -309,9 +309,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         if state.clm and (state.clm != {net.lane_partner(path[curr])} or cres):
             _err(line_no, f"car {cid}: clm must be the lane paired with {path[curr]}, "
                           f"and the car must hold no cres")
-        off_path = sorted((cres | state.cclm) - set(path))
-        if off_path:
-            _err(line_no, f"car {cid}: crossing booking {off_path[0]} is not on its path")
+        whole = upcoming_crossing_run(replace(state, curr=max(
+            i for i in range(curr + 1) if path[i].is_lane)))
+        if cres and cres != whole:
+            _err(line_no, f"car {cid}: cres must be the whole crossing run the car is on "
+                          f"or the next one ahead, {','.join(map(str, sorted(whole)))}")
         run = upcoming_crossing_run(state)
         if state.cclm and state.cclm != run:
             _err(line_no, f"car {cid}: cclm must be the next crossing run on its path, "

@@ -472,24 +472,20 @@ def car_fragment(ts: TrafficSnapshot, cid: str, view: View) -> dict:
     return fragment
 
 
-def lane_runs(ts: TrafficSnapshot, pair: LanePair, owner: str, extent,
-              car: str) -> tuple[list, list]:
+def lane_runs(ts: TrafficSnapshot, vlane: VirtualLane, owner: str, extent,
+              car: str) -> list:
     """The merged runs that the car's reserved entries on lane nodes, as
-    ``owner`` sees the car, make on the forward and the backward lane of a
-    lane pair (a view's lanes 0 and 1), placed as car_fragment places them
-    but with no view laid out.  Crossing entries are left out."""
-    placed = ((pair.forward.placements, []), (pair.backward.placements, []))
+    ``owner`` sees the car, make on a virtual lane, placed as car_fragment
+    places them but with no view laid out.  Crossing entries are left out."""
+    runs = []
+    on_lane = vlane.placements
     for node, lo_local, hi_local in node_occupancy(ts, car, owner)[0]:
-        if node.is_crossing:
-            continue
-        for on_lane, runs in placed:
+        if not node.is_crossing:
             for span in on_lane.get(node, ()):
                 lo, hi = _placed(span, lo_local, hi_local, extent)
                 if hi > lo:
                     runs.append((lo, hi))
-    (_, lower), (_, upper) = placed
-    return (merge_runs(lower) if len(lower) > 1 else lower,
-            merge_runs(upper) if len(upper) > 1 else upper)
+    return merge_runs(runs) if len(runs) > 1 else runs
 
 
 def car_runs(ts: TrafficSnapshot, view: View, car: str, lane: int,

@@ -11,6 +11,7 @@ zero-disagreement comparison meaningful rather than lucky.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from crossings.logic import (
     And,
@@ -49,17 +50,21 @@ def q(rng: random.Random, lo: float, hi: float) -> float:
     return lo + 0.25 * rng.randint(0, steps)
 
 
-def random_scene(rng: random.Random, max_cars: int = 5, off_view: int = 0):
+def random_scene(rng: random.Random, max_cars: int = 5, off_view: int = 0,
+                 blocked_lane_change: bool = False):
     """A snapshot around the demo crossing plus one of the ego's views;
-    drawn again until at least ``off_view`` cars have no runs on it."""
+    drawn again until at least ``off_view`` cars have no runs on it.  With
+    ``blocked_lane_change``, a quarter of the scenes put the ego mid lane
+    change just before its crossing behind a car on its own lane, so that
+    only the partner lane can be free up to the crossing."""
     while True:
-        ts, view = _scene(rng, max_cars)
+        ts, view = _scene(rng, max_cars, blocked_lane_change)
         if not off_view or sum(not car_fragment(ts, c, view)
                                for c in ts.cars) >= off_view:
             return ts, view
 
 
-def _scene(rng: random.Random, max_cars: int):
+def _scene(rng: random.Random, max_cars: int, blocked_lane_change: bool):
     n_cars = rng.randint(1, max_cars)
     cars = {}
     entries = [7, 1, 3, 5]
@@ -98,10 +103,25 @@ def _scene(rng: random.Random, max_cars: int):
             cclm=cclm,
             cres=cres,
         )
+    if blocked_lane_change and rng.random() < 0.25:
+        _block_behind(rng, cars)
     ts = TrafficSnapshot(cars, _TOPO.net)
     mv = build_multiview(_TOPO, ts, "E", h_b=H_B, h_f=H_F)
     view = mv.views[rng.randrange(len(mv.views))]
     return ts, view
+
+
+def _block_behind(rng: random.Random, cars: dict) -> None:
+    """E on both lanes of its road with its envelope's front 10-19 m before
+    the crossing, and a standing car Z between it and the crossing."""
+    e = cars["E"]
+    entry = e.path[0]
+    front = q(rng, 131.0, 140.0)
+    cars["E"] = replace(e, pos=front - e.size - e.braking, clm=frozenset(),
+                        cclm=frozenset(), cres=frozenset(),
+                        res=frozenset({entry, _TOPO.net.lane_partner(entry)}))
+    cars["Z"] = CarState(path=e.path, curr=0, pos=q(rng, front + 0.25, 146.0),
+                         speed=0.0, size=2.0, braking=0.0, res=frozenset({entry}))
 
 
 def random_formula(rng: random.Random, depth: int, car_vars, identities: bool = False):

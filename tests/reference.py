@@ -12,10 +12,11 @@ Interval data comes from the same projection as the production evaluator;
 only the satisfaction search differs, which is exactly what the equivalence
 suite compares.
 
-``oc_on_view`` and ``ca_on_view`` are the per-view readings of ``oc`` and
-``ca`` that the checks on the lane pairs replaced: they read the car's
-merged runs on a view, crossing runs included, and test a free stretch
-against every car's runs.
+``oc_on_view``, ``ca_on_view`` and ``lc_on_view`` are the per-view
+readings of ``oc``, ``ca`` and ``lc`` that the checks on the lane pairs
+replaced: they read the car's merged runs on a view, crossing runs included
+(``lc`` cuts each lane's crossing span out of them), and test a free
+stretch against every car's runs.
 """
 
 from __future__ import annotations
@@ -262,6 +263,21 @@ def oc_on_view(ts: TrafficSnapshot, view: View, car: str) -> bool:
         if span and overlap_pos(car_runs(ts, view, car, lane), [span]):
             return True
     return False
+
+
+def _cut(runs, span):
+    """The runs with the span cut out of them."""
+    if span is None:
+        return runs
+    return [(lo, hi) for a, b in runs
+            for lo, hi in ((a, min(b, span[0])), (max(a, span[1]), b)) if hi > lo]
+
+
+def lc_on_view(ts: TrafficSnapshot, view: View, car: str) -> bool:
+    """Do the car's reserved runs on the two lanes overlap, once each lane's
+    crossing span is cut out of them?"""
+    return overlap_pos(*(_cut(car_runs(ts, view, car, lane), view.crossing_span(lane))
+                         for lane in (0, 1)))
 
 
 def ca_on_view(ts: TrafficSnapshot, view: View, ego: str, d_c: float) -> bool:

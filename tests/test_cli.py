@@ -154,12 +154,16 @@ class TestValidate:
         *(("size=4", f"size=4 {fields}", 36,
            "car E: clm must be the lane paired with 7, and the car must hold no cres")
           for fields in ("clm=5", "clm=0", "clm=7", "clm=6 cres=c0,c1,c2")),
-        # crossing bookings only as a controller makes them: on the path, and
-        # a claim is the crossing run next ahead (c3 is not on E's path)
-        ("size=4", "size=4 cres=c3", 36, "car E: crossing booking c3 is not on its path"),
-        ("size=4", "size=4 cclm=c3", 36, "car E: crossing booking c3 is not on its path"),
-        ("size=4", "size=4 cclm=c1", 36,
-         "car E: cclm must be the next crossing run on its path, c0,c1,c2"),
+        # crossing bookings only as a controller makes them: a claim is the
+        # crossing run next ahead, a reservation the whole run the car is on
+        # or the next one ahead (c3 is not on E's path)
+        *(("size=4", f"size=4 cres={cells}", 36,
+           "car E: cres must be the whole crossing run the car is on or the next one "
+           "ahead, c0,c1,c2")
+          for cells in ("c3", "c1", "c0,c1", "c2")),
+        *(("size=4", f"size=4 cclm={cells}", 36,
+           "car E: cclm must be the next crossing run on its path, c0,c1,c2")
+          for cells in ("c3", "c1")),
         ("path=7,c0,c1,c2,4 pos=100", "path=4 pos=148", None,
          "E: initial envelope runs past its path"),
         # network rules

@@ -1,6 +1,7 @@
 """The fast interval checks must agree with their formula counterparts."""
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -41,7 +42,7 @@ from crossings.logic import (
 from crossings.network import NodeId, cs, lane
 from crossings.params import ProtocolParams
 from crossings.randomgen import negative_scenario, sweep_scenario
-from crossings.scenario import load_scenario
+from crossings.scenario import load_scenario, parse_scenario
 from crossings.snapshot import TrafficSnapshot
 from crossings.views import (
     Kind,
@@ -471,7 +472,8 @@ class TestTrueGuards:
                                                  scenario.h_f, scenario.params, seen)
                 sim.step()
         assert len(conflicts) == 6
-        assert seen["col"] and seen["lc"] and seen["ph"]
+        # no car here holds two lanes: lc is true only in the lane-change scenes
+        assert seen["col"] and seen["ph"] and not seen["lc"], seen
 
     def test_lane_change_and_claim_scenes(self, topo):
         seen = dict.fromkeys(("col", "lc", "pc", "ph"), 0)
@@ -504,7 +506,8 @@ def _assert_phinv_agrees(topo, ts, h_b, h_f, params, seen):
     """Every car as receiver, against every request: ``check_phinv`` equals
     ``phinv_formula``'s conjuncts, each evaluated under the mode the guard
     judges it in: lc and oc in some view, ca on view 0, the request's
-    segments disjoint from csa = the receiver's cclm | cres."""
+    segments disjoint from csa = the receiver's cclm | cres; and it equals
+    the formula judged whole in some view."""
     for ego in sorted(ts.cars):
         mv = build_multiview(topo, ts, ego, h_b, h_f)
         if not mv.views:
@@ -524,20 +527,19 @@ def _assert_phinv_agrees(topo, ts, h_b, h_f, params, seen):
                 and on_or_ahead
             got = check_phinv(ts, mv, ego, c, segments, params)
             assert got == (rest and not lc), (ego, c, sorted(map(str, segments)))
+            assert got == eval_multiview(
+                ts, mv, nu, phinv_formula(c, "req", params), mode="exists"), (ego, c)
             seen["true"] += got
             seen["lc"] += rest and lc
 
 
 class TestPhinv:
-    """The helper's ``phinv`` check is its formula, conjunct by conjunct.
-
-    Judged whole over the multi-view instead, the formula can disagree: on
-    sweep seed 24 from tick 28, F holds cres c0-c2 and c2 sits beside c0/c1
-    on F's view toward r2 only, so lc(F) holds in that view alone; the guard
-    then declines E's request for c3, while phinv holds on views 0 and 1.
-    """
+    """The helper's ``phinv`` check is its formula, conjunct by conjunct and
+    judged whole in some view."""
 
     def test_sweep_snapshots(self):
+        # no sweep car holds two lanes, so lc is false throughout; on seed 24
+        # from tick 28, F holds cres c0-c2 while E asks it about c3
         seen = dict.fromkeys(("true", "lc"), 0)
         for seed in (0, 2, 5, 24):
             scenario = sweep_scenario(seed)
@@ -547,7 +549,7 @@ class TestPhinv:
                     _assert_phinv_agrees(scenario.topo, sim.ts, scenario.h_b,
                                          scenario.h_f, scenario.params, seen)
                 sim.step()
-        assert seen["true"] and seen["lc"], seen
+        assert seen["true"] and not seen["lc"], seen
 
     def test_guard_scenes(self, topo):
         seen = dict.fromkeys(("true", "lc"), 0)
@@ -577,6 +579,18 @@ class TestPhinv:
                                          scenario.h_f, scenario.params, seen)
                 sim.step()
         assert seen["true"] and seen["lc"], seen
+
+    def test_a_car_holding_its_crossing_run_vouches(self):
+        # lone-left-turn's E holds c0-c2, whose cells lie on both lanes of its
+        # view toward r2: that is no lane change, so E may vouch for a
+        # request on c3 that its booking does not touch
+        text = resources.files("crossings").joinpath(
+            "scenarios", "lone-left-turn.scn").read_text()
+        scenario = parse_scenario(text.replace("size=4", "size=4 cres=c0,c1,c2"))
+        ts = scenario.snapshot()
+        mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
+        assert not check_lc(ts, mv, "E")
+        assert check_phinv(ts, mv, "E", "D", {cs(3)}, scenario.params)
 
 
 class TestVerdictStore:

@@ -7,7 +7,7 @@ Regenerate the file only for an intended behaviour change:
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-The same runs also pin transition coverage: every controller edge fires in
+which prints each label whose hash changed.  The same runs also pin transition coverage: every controller edge fires in
 at least one of them, except the known blind spots listed below.
 """
 
@@ -97,5 +97,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {label: trace_sha256(make_scenario(label), Path(tmp) / "run.trace")
                   for label in LABELS}
+    for label in sorted(set(hashes) | set(GOLDEN)):
+        if hashes.get(label) != GOLDEN.get(label):
+            print("changed" if label in hashes and label in GOLDEN
+                  else "new" if label in hashes else "dropped", label)
     GOLDEN_FILE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     sys.exit(0)
