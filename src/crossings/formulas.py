@@ -316,12 +316,13 @@ _MISS = object()  # a stored None is a verdict, not a miss
 
 
 def _per_snapshot(check):
-    """Keep a guard check's verdicts in the snapshot's store.
+    """Keep a transition guard check's verdicts in the snapshot's store.
 
     Guards re-evaluate many times against one snapshot during a micro-step.
     A verdict reads every car, so it is kept per snapshot and keyed on the
     check, the multi-view (one object per car and snapshot) and the rest of
-    the call's arguments.
+    the call's arguments.  ``col_witness`` is not kept: only q0's invariant
+    reads it, once per snapshot.
     """
 
     @functools.wraps(check)
@@ -395,7 +396,6 @@ def check_lc(ts: TrafficSnapshot, mv: MultiView, car: str) -> bool:
                for pair in mv.pairs)
 
 
-@_per_snapshot
 def col_witness(ts: TrafficSnapshot, mv: MultiView, ego: str) -> Optional[tuple]:
     """First (car, view index) whose reservation overlaps the ego's, as the
     ego perceives them.

@@ -27,9 +27,11 @@ car whose safety envelope (size + braking) is wider than ``max_se``, the
 widest envelope the protocol's distance bounds allow for a hidden car, and a
 car with a lane claim ``clm`` that is not exactly the lane paired with the
 lane its rear is on, or that holds a ``cres`` too: a car may claim only the
-lane beside its own.  Crossing bookings are whole runs of crossing cells
-on the path: a claim ``cclm`` the run next ahead, a reservation ``cres``
-the run the car's rear is on or, from a lane, the next one ahead.
+lane beside its own.  A car whose controllers include ``crossing`` holds
+no ``cres`` and no ``cclm``: that controller starts in q0, which holds no
+crossing booking, and releases one only from its on-crossing states.  A
+car without a crossing controller is a scripted obstacle that never
+reserves, so its bookings are scenery, bound only by the sanity conditions.
 Every parameter must be positive, ``t`` below ``t_w``, ``h_f`` at least
 ``d_c + max_se`` and ``max_time / dt`` at most ``MAX_TICKS``; a parameter
 that breaks one of these is reported on its line.
@@ -38,7 +40,7 @@ that breaks one of these is reported on its line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
@@ -53,7 +55,6 @@ from .snapshot import (
     braking_distance,
     safety_envelope,
     sanity_check,
-    upcoming_crossing_run,
 )
 from .views import build_multiview, collisions
 
@@ -309,25 +310,19 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         if state.clm and (state.clm != {net.lane_partner(path[curr])} or cres):
             _err(line_no, f"car {cid}: clm must be the lane paired with {path[curr]}, "
                           f"and the car must hold no cres")
-        whole = upcoming_crossing_run(replace(state, curr=max(
-            i for i in range(curr + 1) if path[i].is_lane)))
-        if cres and cres != whole:
-            _err(line_no, f"car {cid}: cres must be the whole crossing run the car is on "
-                          f"or the next one ahead, {','.join(map(str, sorted(whole)))}")
-        run = upcoming_crossing_run(state)
-        if state.cclm and state.cclm != run:
-            _err(line_no, f"car {cid}: cclm must be the next crossing run on its path, "
-                          f"{','.join(map(str, sorted(run)))}")
-        envelope = state.size + state.braking
-        if envelope > params.max_se:
-            _err(line_no, f"car {cid}: safety envelope size + braking = {envelope:g} m "
-                          f"exceeds max_se = {params.max_se:g}")
-        scenario.cars[cid] = state
         raw = fields.get("controllers", "road,crossing,helper")
         kinds = () if raw == "none" else tuple(raw.split(","))
         for kind in kinds:
             if kind not in CONTROLLER_KINDS:
                 _err(line_no, f"unknown controller kind {kind!r}")
+        if "crossing" in kinds and (cres or state.cclm):
+            _err(line_no, f"car {cid}: {'cres' if cres else 'cclm'} must be empty: its "
+                          f"crossing controller starts in q0, which holds no crossing booking")
+        envelope = state.size + state.braking
+        if envelope > params.max_se:
+            _err(line_no, f"car {cid}: safety envelope size + braking = {envelope:g} m "
+                          f"exceeds max_se = {params.max_se:g}")
+        scenario.cars[cid] = state
         scenario.equipped[cid] = kinds
         if _parse_bool(line_no, cid, fields, "monitor"):
             scenario.monitored.append(cid)

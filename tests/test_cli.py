@@ -154,16 +154,15 @@ class TestValidate:
         *(("size=4", f"size=4 {fields}", 36,
            "car E: clm must be the lane paired with 7, and the car must hold no cres")
           for fields in ("clm=5", "clm=0", "clm=7", "clm=6 cres=c0,c1,c2")),
-        # crossing bookings only as a controller makes them: a claim is the
-        # crossing run next ahead, a reservation the whole run the car is on
-        # or the next one ahead (c3 is not on E's path)
-        *(("size=4", f"size=4 cres={cells}", 36,
-           "car E: cres must be the whole crossing run the car is on or the next one "
-           "ahead, c0,c1,c2")
-          for cells in ("c3", "c1", "c0,c1", "c2")),
-        *(("size=4", f"size=4 cclm={cells}", 36,
-           "car E: cclm must be the next crossing run on its path, c0,c1,c2")
-          for cells in ("c3", "c1")),
+        # a crossing controller starts in q0, which holds no crossing
+        # booking: none off E's path (c3), none of part of its run, and not
+        # the whole run c0,c1,c2 either
+        *(("size=4", f"size=4 {field}={cells}", 36,
+           f"car E: {field} must be empty: its crossing controller starts in q0, "
+           "which holds no crossing booking")
+          for field, cells in (("cres", "c3"), ("cres", "c1"), ("cres", "c0,c1"),
+                               ("cres", "c2"), ("cres", "c0,c1,c2"), ("cclm", "c3"),
+                               ("cclm", "c1"), ("cclm", "c0,c1,c2"))),
         ("path=7,c0,c1,c2,4 pos=100", "path=4 pos=148", None,
          "E: initial envelope runs past its path"),
         # network rules
@@ -182,6 +181,13 @@ class TestValidate:
     def test_standing_car_is_valid(self, tmp_path):
         assert main(["validate", str(edited_copy(tmp_path, "lone-left-turn",
                                                  "speed=10", "speed=0"))]) == 0
+
+    def test_a_car_with_no_crossing_controller_may_hold_any_booking(self, tmp_path, capsys):
+        # a scripted obstacle never reserves, so part of a crossing run is
+        # scenery that only the sanity conditions bind
+        path = edited_copy(tmp_path, "lone-left-turn", "size=4", "size=4 controllers=none cres=c1")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
 
 class TestMalformedScenario:
@@ -315,7 +321,7 @@ class TestMalformedScenario:
 
     @EACH_COMMAND
     def test_rear_on_a_crossing_with_no_lane_before_it(self, tmp_path, capsys, command):
-        path = edited_copy(tmp_path, "left-turn", "car A path=5,c3,6", "car A path=c3,6")
+        path = edited_copy(tmp_path, "helper-no", "car A path=5,c3,c0,0", "car A path=c3,c0,0")
         code = main([command[0], str(path), *command[1:]])
         assert code == 2
         err = capsys.readouterr().err

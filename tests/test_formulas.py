@@ -583,10 +583,12 @@ class TestPhinv:
     def test_a_car_holding_its_crossing_run_vouches(self):
         # lone-left-turn's E holds c0-c2, whose cells lie on both lanes of its
         # view toward r2: that is no lane change, so E may vouch for a
-        # request on c3 that its booking does not touch
+        # request on c3 that its booking does not touch.  E runs only its
+        # helper, as a car with a crossing controller starts with no booking
         text = resources.files("crossings").joinpath(
             "scenarios", "lone-left-turn.scn").read_text()
-        scenario = parse_scenario(text.replace("size=4", "size=4 cres=c0,c1,c2"))
+        scenario = parse_scenario(text.replace(
+            "size=4", "size=4 cres=c0,c1,c2 controllers=helper"))
         ts = scenario.snapshot()
         mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
         assert not check_lc(ts, mv, "E")
@@ -601,7 +603,7 @@ class TestVerdictStore:
         near, far = ProtocolParams(d_c=1.0, max_se=1.0), ProtocolParams(d_c=200.0)
         ts = scenario.snapshot()
         mv = build_multiview(scenario.topo, ts, "E", scenario.h_b, scenario.h_f)
-        for params, ahead, helpers in ((far, True, {"A", "C", "D"}),
-                                       (near, False, {"A"}), (far, True, {"A", "C", "D"})):
+        for params, ahead, helpers in ((far, True, {"C", "D"}),
+                                       (near, False, set()), (far, True, {"C", "D"})):
             assert check_ca(ts, mv, "E", params) is ahead
             assert ph_cars(ts, mv, "E", params) == helpers

@@ -115,6 +115,16 @@ class TestProtocolRuns:
                  and dict(ev.payload)["to"] == "q1"]
         assert leave and leave[0] == pytest.approx(scenario.params.t_w, abs=scenario.dt)
 
+    def test_no_stale_booking_blocks_left_turn(self):
+        # left-turn's A starts just past c3 with no booking, so D and F,
+        # whose runs take c3, are not declined for the whole run
+        verdict, events = run(load_scenario("left-turn"))
+        assert verdict.safe
+        assert [ev.render() for ev in events if ev.kind == "Violation"] == []
+        reserving = {dict(e.payload)["car"] for e in events
+                     if e.kind == "Action" and dict(e.payload)["kind"] == "rc"}
+        assert {"D", "F"} <= reserving
+
 
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_bundled_scenario_runs_without_violation(name):
